@@ -1,12 +1,17 @@
 # Convenience aliases for the checks CI runs. `make check` is the full gate.
 
-.PHONY: build test fmt clippy lint lint-sarif attacks faults serve decode check bench
+.PHONY: build test bench-test fmt clippy lint lint-sarif attacks faults serve decode check bench
 
 build:
 	cargo build --release --workspace --locked
 
 test:
 	cargo test -q --workspace --locked
+
+# The standalone benchmark package (its own workspace under benchmark/):
+# wrapper-equivalence, golden-drift and BENCHMARK.json consistency tests.
+bench-test:
+	cargo test --manifest-path benchmark/Cargo.toml --locked --offline
 
 fmt:
 	cargo fmt --all --check
@@ -59,4 +64,4 @@ bench:
 	./target/release/experiments --bench-json BENCH_sweep.json all > /tmp/tnpu_bench_out.txt
 	diff -q results_full.txt /tmp/tnpu_bench_out.txt
 
-check: build test fmt clippy lint attacks faults serve decode
+check: build test bench-test fmt clippy lint attacks faults serve decode

@@ -1,10 +1,16 @@
-//! AES-128 block cipher.
+//! AES-128 block cipher in 32-bit T-table form.
 //!
 //! The S-box is *derived* (multiplicative inverse in GF(2⁸) followed by the
-//! affine transform) rather than hard-coded, and the implementation is
-//! checked against the FIPS-197 Appendix C known-answer vector in the tests.
-//! Straightforward and untimed — suitable for a simulator's functional
-//! datapath, not for production.
+//! affine transform) rather than hard-coded, and so are the four encryption
+//! and four decryption round tables built from it at first use (8 KiB).
+//! The state is four big-endian column words: each inner round is sixteen
+//! table lookups and XORs, and decryption uses the equivalent inverse
+//! cipher, whose round keys have InvMixColumns applied once at key
+//! expansion. The tests check the FIPS-197 Appendix C vector in both
+//! directions and, over arbitrary keys and blocks, equality with a
+//! byte-state SubBytes/ShiftRows/MixColumns reference cipher. Portable
+//! safe Rust with no intrinsics and not constant-time — suitable for a
+//! simulator's functional datapath, not for production.
 
 use crate::Key128;
 
@@ -48,21 +54,18 @@ fn affine(x: u8) -> u8 {
     x ^ x.rotate_left(1) ^ x.rotate_left(2) ^ x.rotate_left(3) ^ x.rotate_left(4) ^ 0x63
 }
 
+/// Derived lookup tables, built once at first use.
+///
+/// `te[k][x]` is the MixColumns column contributed by S-box output `S(x)`
+/// sitting in row `k` — `(2·S, S, S, 3·S)` rotated right by `8k` bits —
+/// so a full round is four lookups and four XORs per column. `td` is the
+/// same for the inverse cipher: `(14·S⁻¹, 9·S⁻¹, 13·S⁻¹, 11·S⁻¹)`.
 struct Tables {
     sbox: [u8; 256],
     inv_sbox: [u8; 256],
-    /// Multiplication tables for the MixColumns constants, indexed
-    /// `[constant][x]` with constants 2, 3, 9, 11, 13, 14.
-    mul: [[u8; 256]; 6],
+    te: [[u32; 256]; 4],
+    td: [[u32; 256]; 4],
 }
-
-/// Indices into [`Tables::mul`].
-const M2: usize = 0;
-const M3: usize = 1;
-const M9: usize = 2;
-const M11: usize = 3;
-const M13: usize = 4;
-const M14: usize = 5;
 
 fn tables() -> &'static Tables {
     use std::sync::OnceLock;
@@ -75,24 +78,65 @@ fn tables() -> &'static Tables {
             *slot = s;
             inv_sbox[s as usize] = i as u8;
         }
-        let mut mul = [[0u8; 256]; 6];
-        for (slot, c) in [(M2, 2), (M3, 3), (M9, 9), (M11, 11), (M13, 13), (M14, 14)] {
-            for (x, entry) in mul[slot].iter_mut().enumerate() {
-                *entry = gf_mul(c, x as u8);
+        let mut te = [[0u32; 256]; 4];
+        let mut td = [[0u32; 256]; 4];
+        for x in 0..256 {
+            let s = sbox[x];
+            let e = u32::from_be_bytes([gf_mul(s, 2), s, s, gf_mul(s, 3)]);
+            let i = inv_sbox[x];
+            let d = u32::from_be_bytes([gf_mul(i, 14), gf_mul(i, 9), gf_mul(i, 13), gf_mul(i, 11)]);
+            for k in 0..4 {
+                te[k][x] = e.rotate_right(8 * k as u32);
+                td[k][x] = d.rotate_right(8 * k as u32);
             }
         }
         Tables {
             sbox,
             inv_sbox,
-            mul,
+            te,
+            td,
         }
     })
 }
 
-/// An expanded AES-128 key schedule (11 round keys).
+/// Byte `row` (0 = most significant) of a big-endian column word.
+fn byte(word: u32, row: usize) -> usize {
+    (word >> (24 - 8 * row)) as u8 as usize
+}
+
+/// Column offsets of the rows feeding output column `c`: row `r` comes
+/// from column `(c + OFFSET[r]) % 4` (ShiftRows, and InvShiftRows).
+const ENC_OFFSETS: [usize; 4] = [0, 1, 2, 3];
+const DEC_OFFSETS: [usize; 4] = [0, 3, 2, 1];
+
+/// One inner round on a state of four big-endian column words: (Inv)SubBytes,
+/// (Inv)ShiftRows and (Inv)MixColumns via the lookup tables, then the round key.
+fn round(t: &[[u32; 256]; 4], s: [u32; 4], offsets: [usize; 4], key: &[u32; 4]) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        t[0][byte(s[c], 0)]
+            ^ t[1][byte(s[(c + offsets[1]) % 4], 1)]
+            ^ t[2][byte(s[(c + offsets[2]) % 4], 2)]
+            ^ t[3][byte(s[(c + offsets[3]) % 4], 3)]
+            ^ key[c]
+    })
+}
+
+/// The last round: (Inv)SubBytes and (Inv)ShiftRows only, then the round key.
+fn final_round(sbox: &[u8; 256], s: [u32; 4], offsets: [usize; 4], key: &[u32; 4]) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        u32::from_be_bytes(std::array::from_fn(|r| {
+            sbox[byte(s[(c + offsets[r]) % 4], r)]
+        })) ^ key[c]
+    })
+}
+
+/// An expanded AES-128 key schedule: 11 encryption round keys and the 11
+/// round keys of the equivalent inverse cipher (FIPS-197 §5.3.5), each as
+/// four big-endian column words.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    enc: [[u32; 4]; 11],
+    dec: [[u32; 4]; 11],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -103,152 +147,73 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expand `key` into the round-key schedule.
+    /// Expand `key` into the encryption and decryption round-key schedules.
     #[must_use]
     pub fn new(key: Key128) -> Self {
         let t = tables();
-        let mut w = [[0u8; 4]; 44];
+        let sub_word = |w: u32| u32::from_be_bytes(w.to_be_bytes().map(|b| t.sbox[b as usize]));
+        let mut w = [0u32; 44];
         for (i, chunk) in key.0.chunks_exact(4).enumerate() {
-            w[i].copy_from_slice(chunk);
+            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }
         let mut rcon = 1u8;
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = t.sbox[*b as usize];
-                }
-                temp[0] ^= rcon;
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(rcon) << 24);
                 rcon = gf_mul(rcon, 2);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
+            w[i] = w[i - 4] ^ temp;
+        }
+        let enc: [[u32; 4]; 11] = std::array::from_fn(|r| std::array::from_fn(|c| w[4 * r + c]));
+        // The inverse cipher runs the encryption keys backwards, with
+        // InvMixColumns folded into the inner ones: td[k][S(b)] is
+        // InvMixColumns of byte b in row k, since td already holds S⁻¹.
+        let inv_mix = |w: u32| (0..4).fold(0, |acc, k| acc ^ t.td[k][t.sbox[byte(w, k)] as usize]);
+        let dec = std::array::from_fn(|r| {
+            let key = enc[10 - r];
+            if r == 0 || r == 10 {
+                key
+            } else {
+                key.map(inv_mix)
             }
-        }
-        let mut round_keys = [[0u8; 16]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Aes128 { round_keys }
+        });
+        Aes128 { enc, dec }
     }
 
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk) {
-            *s ^= k;
-        }
+    fn load(block: &[u8; 16], key: &[u32; 4]) -> [u32; 4] {
+        std::array::from_fn(|c| {
+            u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("4-byte column")) ^ key[c]
+        })
     }
 
-    fn sub_bytes(state: &mut [u8; 16]) {
-        let t = tables();
-        for b in state.iter_mut() {
-            *b = t.sbox[*b as usize];
-        }
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        let t = tables();
-        for b in state.iter_mut() {
-            *b = t.inv_sbox[*b as usize];
-        }
-    }
-
-    // State layout: column-major, state[r + 4c] = row r, column c,
-    // matching the FIPS byte order of a 16-byte input block.
-    fn shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-            }
-        }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-            }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        let t = tables();
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] =
-                t.mul[M2][col[0] as usize] ^ t.mul[M3][col[1] as usize] ^ col[2] ^ col[3];
-            state[4 * c + 1] =
-                col[0] ^ t.mul[M2][col[1] as usize] ^ t.mul[M3][col[2] as usize] ^ col[3];
-            state[4 * c + 2] =
-                col[0] ^ col[1] ^ t.mul[M2][col[2] as usize] ^ t.mul[M3][col[3] as usize];
-            state[4 * c + 3] =
-                t.mul[M3][col[0] as usize] ^ col[1] ^ col[2] ^ t.mul[M2][col[3] as usize];
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        let t = tables();
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = t.mul[M14][col[0] as usize]
-                ^ t.mul[M11][col[1] as usize]
-                ^ t.mul[M13][col[2] as usize]
-                ^ t.mul[M9][col[3] as usize];
-            state[4 * c + 1] = t.mul[M9][col[0] as usize]
-                ^ t.mul[M14][col[1] as usize]
-                ^ t.mul[M11][col[2] as usize]
-                ^ t.mul[M13][col[3] as usize];
-            state[4 * c + 2] = t.mul[M13][col[0] as usize]
-                ^ t.mul[M9][col[1] as usize]
-                ^ t.mul[M14][col[2] as usize]
-                ^ t.mul[M11][col[3] as usize];
-            state[4 * c + 3] = t.mul[M11][col[0] as usize]
-                ^ t.mul[M13][col[1] as usize]
-                ^ t.mul[M9][col[2] as usize]
-                ^ t.mul[M14][col[3] as usize];
+    fn store(block: &mut [u8; 16], s: [u32; 4]) {
+        for (chunk, word) in block.chunks_exact_mut(4).zip(s) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for r in 1..10 {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[r]);
+        let t = tables();
+        let mut s = Self::load(block, &self.enc[0]);
+        for key in &self.enc[1..10] {
+            s = round(&t.te, s, ENC_OFFSETS, key);
         }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[10]);
+        Self::store(block, final_round(&t.sbox, s, ENC_OFFSETS, &self.enc[10]));
     }
 
     /// Decrypt one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[10]);
-        for r in (1..10).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[r]);
-            Self::inv_mix_columns(block);
+        let t = tables();
+        let mut s = Self::load(block, &self.dec[0]);
+        for key in &self.dec[1..10] {
+            s = round(&t.td, s, DEC_OFFSETS, key);
         }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
+        Self::store(
+            block,
+            final_round(&t.inv_sbox, s, DEC_OFFSETS, &self.dec[10]),
+        );
     }
 
     /// Encrypt a copy of `block`.
@@ -263,6 +228,7 @@ impl Aes128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sbox_first_entries() {
@@ -299,6 +265,18 @@ mod tests {
         let aes = Aes128::new(key);
         aes.encrypt_block(&mut block);
         assert_eq!(block, expected);
+    }
+
+    #[test]
+    fn fips197_decrypt_known_answer() {
+        // FIPS-197 Appendix C.1, inverse cipher.
+        let key = Key128(std::array::from_fn(|i| i as u8));
+        let mut block = [
+            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+            0xc5, 0x5a,
+        ];
+        Aes128::new(key).decrypt_block(&mut block);
+        assert_eq!(block, std::array::from_fn(|i| (i as u8) * 0x11));
     }
 
     #[test]
@@ -340,6 +318,144 @@ mod tests {
     fn debug_does_not_leak_key() {
         let aes = Aes128::new(Key128::derive(b"secret"));
         let s = format!("{aes:?}");
-        assert!(!s.contains("round_keys"));
+        let fields = s.trim_start_matches("Aes128");
+        assert!(!fields.chars().any(|c| c.is_ascii_digit()), "{s}");
+    }
+
+    /// Byte-state AES-128, the equivalence oracle for the T-table form:
+    /// SubBytes, ShiftRows and MixColumns on a column-major byte state,
+    /// GF(2⁸) products computed directly.
+    mod reference {
+        use super::super::{gf_mul, tables};
+
+        pub fn expand(key: [u8; 16]) -> [[u8; 16]; 11] {
+            let sbox = &tables().sbox;
+            let mut w = [[0u8; 4]; 44];
+            for (i, chunk) in key.chunks_exact(4).enumerate() {
+                w[i].copy_from_slice(chunk);
+            }
+            let mut rcon = 1u8;
+            for i in 4..44 {
+                let mut temp = w[i - 1];
+                if i % 4 == 0 {
+                    temp.rotate_left(1);
+                    for b in &mut temp {
+                        *b = sbox[*b as usize];
+                    }
+                    temp[0] ^= rcon;
+                    rcon = gf_mul(rcon, 2);
+                }
+                for j in 0..4 {
+                    w[i][j] = w[i - 4][j] ^ temp[j];
+                }
+            }
+            std::array::from_fn(|r| std::array::from_fn(|b| w[r * 4 + b / 4][b % 4]))
+        }
+
+        fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+            for (s, k) in state.iter_mut().zip(rk) {
+                *s ^= k;
+            }
+        }
+
+        fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
+            for b in state.iter_mut() {
+                *b = sbox[*b as usize];
+            }
+        }
+
+        // state[r + 4c] = row r, column c.
+        fn shift_rows(state: &mut [u8; 16]) {
+            let s = *state;
+            for r in 1..4 {
+                for c in 0..4 {
+                    state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
+                }
+            }
+        }
+
+        fn inv_shift_rows(state: &mut [u8; 16]) {
+            let s = *state;
+            for r in 1..4 {
+                for c in 0..4 {
+                    state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
+                }
+            }
+        }
+
+        /// Multiply every column by the circulant matrix with first row `m`.
+        fn mix(state: &mut [u8; 16], m: [u8; 4]) {
+            for c in 0..4 {
+                let col: [u8; 4] = state[4 * c..4 * c + 4].try_into().unwrap();
+                for r in 0..4 {
+                    state[4 * c + r] =
+                        (0..4).fold(0, |acc, k| acc ^ gf_mul(m[(k + 4 - r) % 4], col[k]));
+                }
+            }
+        }
+
+        pub fn encrypt(rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
+            let sbox = &tables().sbox;
+            add_round_key(block, &rk[0]);
+            for key in &rk[1..10] {
+                sub_bytes(block, sbox);
+                shift_rows(block);
+                mix(block, [2, 3, 1, 1]);
+                add_round_key(block, key);
+            }
+            sub_bytes(block, sbox);
+            shift_rows(block);
+            add_round_key(block, &rk[10]);
+        }
+
+        pub fn decrypt(rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
+            let inv_sbox = &tables().inv_sbox;
+            add_round_key(block, &rk[10]);
+            for key in rk[1..10].iter().rev() {
+                inv_shift_rows(block);
+                sub_bytes(block, inv_sbox);
+                add_round_key(block, key);
+                mix(block, [14, 11, 13, 9]);
+            }
+            inv_shift_rows(block);
+            sub_bytes(block, inv_sbox);
+            add_round_key(block, &rk[0]);
+        }
+    }
+
+    #[test]
+    fn reference_matches_fips197() {
+        let rk = reference::expand(std::array::from_fn(|i| i as u8));
+        let mut block = std::array::from_fn(|i| (i as u8) * 0x11);
+        reference::encrypt(&rk, &mut block);
+        assert_eq!(block[..4], [0x69, 0xc4, 0xe0, 0xd8]);
+        reference::decrypt(&rk, &mut block);
+        assert_eq!(block, std::array::from_fn(|i| (i as u8) * 0x11));
+    }
+
+    fn array16(bytes: &[u8]) -> [u8; 16] {
+        bytes.try_into().expect("16 bytes")
+    }
+
+    proptest! {
+        /// The T-table cipher is the byte-state cipher, in both directions,
+        /// for any key and block.
+        #[test]
+        fn ttable_equals_byte_state_reference(
+            key in prop::collection::vec(any::<u8>(), 16),
+            block in prop::collection::vec(any::<u8>(), 16),
+        ) {
+            let (key, block) = (array16(&key), array16(&block));
+            let aes = Aes128::new(Key128(key));
+            let rk = reference::expand(key);
+            let mut expected = block;
+            reference::encrypt(&rk, &mut expected);
+            prop_assert_eq!(aes.encrypt(block), expected);
+            let mut got = block;
+            aes.decrypt_block(&mut got);
+            let mut expected = block;
+            reference::decrypt(&rk, &mut expected);
+            prop_assert_eq!(got, expected);
+        }
     }
 }

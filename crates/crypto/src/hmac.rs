@@ -1,4 +1,9 @@
 //! HMAC-SHA256, the keyed MAC behind per-block MACs and attestation reports.
+//!
+//! [`HmacSha256`] absorbs the `key ⊕ ipad` and `key ⊕ opad` blocks once,
+//! when it is keyed, and keeps the two SHA-256 states. Cloning a keyed
+//! context then MACs a short message in the compressions of the message
+//! and the outer digest alone; [`crate::mac::BlockMac`] relies on this.
 
 use crate::sha256::{sha256, Sha256};
 
@@ -14,34 +19,30 @@ use crate::sha256::{sha256, Sha256};
 /// ```
 #[must_use]
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut block_key = [0u8; 64];
-    if key.len() > 64 {
-        block_key[..32].copy_from_slice(&sha256(key));
-    } else {
-        block_key[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; 64];
-    let mut opad = [0x5cu8; 64];
-    for i in 0..64 {
-        ipad[i] ^= block_key[i];
-        opad[i] ^= block_key[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    let mut mac = HmacSha256::new(key);
+    mac.update(data);
+    mac.finalize()
 }
 
 /// An incremental HMAC-SHA256 context for MACing scattered fields without
 /// concatenating them into a buffer first.
-#[derive(Debug, Clone)]
+///
+/// `new` absorbs the ipad and opad blocks once and keeps the two SHA-256
+/// states, so a clone of a keyed context MACs a message with two fewer
+/// compressions than keying from scratch.
+#[derive(Clone)]
 pub struct HmacSha256 {
+    /// SHA-256 state after `key ⊕ ipad`; absorbs the message.
     inner: Sha256,
-    opad: [u8; 64],
+    /// SHA-256 state after `key ⊕ opad`; absorbs the inner digest.
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Both states are derived from the key; never print them.
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
@@ -54,15 +55,11 @@ impl HmacSha256 {
         } else {
             block_key[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0x36u8; 64];
-        let mut opad = [0x5cu8; 64];
-        for i in 0..64 {
-            ipad[i] ^= block_key[i];
-            opad[i] ^= block_key[i];
-        }
         let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 { inner, opad }
+        inner.update(&block_key.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&block_key.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb more data.
@@ -73,10 +70,8 @@ impl HmacSha256 {
     /// Produce the 32-byte tag.
     #[must_use]
     pub fn finalize(self) -> [u8; 32] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -106,6 +101,26 @@ mod tests {
             hex(&tag),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
+    }
+
+    #[test]
+    fn rfc4231_case6() {
+        // 131-byte key: longer than the block, so it is hashed first.
+        let key = [0xaau8; 131];
+        let data = b"Test Using Larger Than Block-Size Key - Hash Key First";
+        let expected = "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54";
+        assert_eq!(hex(&hmac_sha256(&key, data)), expected);
+        let mut ctx = HmacSha256::new(&key);
+        ctx.update(data);
+        assert_eq!(hex(&ctx.finalize()), expected);
+    }
+
+    #[test]
+    fn debug_does_not_leak_key() {
+        let s = format!("{:?}", HmacSha256::new(b"secret"));
+        // Any key-derived pad or SHA-256 state would render as numbers.
+        let fields = s.trim_start_matches("HmacSha256");
+        assert!(!fields.chars().any(|c| c.is_ascii_digit()), "{s}");
     }
 
     #[test]

@@ -7,17 +7,27 @@
 //! security claims (confidentiality, integrity, replay detection) are
 //! testable end-to-end:
 //!
-//! * [`aes`] — AES-128 block cipher (S-box derived from the GF(2⁸) inverse,
-//!   verified against the FIPS-197 vector).
+//! * [`aes`] — AES-128 block cipher in 32-bit T-table form (S-box and
+//!   round tables derived from the GF(2⁸) inverse at first use, verified
+//!   against the FIPS-197 vector and a byte-state reference cipher).
 //! * [`ctr`] — counter-mode one-time-pad encryption of 64 B memory blocks,
 //!   the baseline engine's cipher (§II-B, Fig. 1).
 //! * [`xts`] — AES-XTS encryption of 64 B blocks, the tree-less engine's
 //!   cipher ("the entire DRAM ... is encrypted with AES-XTS similar to Intel
 //!   Total Memory Encryption", §IV-C).
 //! * [`sha256`] / [`hmac`] — hash and keyed MAC used for per-block MACs,
-//!   integrity-tree nodes, and enclave measurement.
+//!   integrity-tree nodes, and enclave measurement; [`hmac::HmacSha256`]
+//!   keeps its keyed inner/outer states so clones skip the pad blocks.
 //! * [`mac`] — the 8-byte per-block MAC binding (content, address, version),
 //!   exactly the construction of Fig. 12.
+//!
+//! Every functional memory, attack cell and simulator golden is built on
+//! the exact bytes these primitives produce, so their speed work is held
+//! to one invariant: identical output. Known-answer vectors (FIPS-197,
+//! IEEE 1619 XTS, RFC 4231, NIST SHA-256) and frozen block-mode outputs
+//! (`tests/golden/modes.txt`) pin it. The code is portable safe Rust —
+//! no `unsafe`, no `std::arch` intrinsics — so it runs unchanged on every
+//! host the simulator targets.
 //!
 //! None of this is constant-time or side-channel hardened — side channels
 //! are out of the paper's threat model (§II-E) and out of scope here too.

@@ -9,6 +9,12 @@
 //! The baseline tree-based engine uses the same construction with the
 //! per-block *counter* in the role of the version number (its recency is
 //! guaranteed by the counter tree instead of by software).
+//!
+//! The tag is the first 8 bytes of `HMAC-SHA256(key, data ‖ addr ‖
+//! version)` with both integers little-endian. [`BlockMac`] keys one
+//! [`HmacSha256`] at construction and clones it per tag, so a tag costs
+//! three SHA-256 compressions (data block, address/version/padding, outer
+//! digest) instead of the five of keying from scratch.
 
 use crate::hmac::HmacSha256;
 
@@ -27,7 +33,8 @@ impl MacTag {
 /// Computes and verifies per-block MACs under a fixed key.
 #[derive(Clone)]
 pub struct BlockMac {
-    key: [u8; 16],
+    /// HMAC context keyed once; each tag clones it.
+    keyed: HmacSha256,
 }
 
 impl std::fmt::Debug for BlockMac {
@@ -40,13 +47,15 @@ impl BlockMac {
     /// Create a MAC engine under `key`.
     #[must_use]
     pub fn new(key: crate::Key128) -> Self {
-        BlockMac { key: key.0 }
+        BlockMac {
+            keyed: HmacSha256::new(&key.0),
+        }
     }
 
     /// MAC of `(data, addr, version)` truncated to 8 bytes (Fig. 12 (a)).
     #[must_use]
     pub fn tag(&self, addr: u64, version: u64, data: &[u8; 64]) -> MacTag {
-        let mut mac = HmacSha256::new(&self.key);
+        let mut mac = self.keyed.clone();
         mac.update(data);
         mac.update(&addr.to_le_bytes());
         mac.update(&version.to_le_bytes());
@@ -69,7 +78,9 @@ impl BlockMac {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::hmac_sha256;
     use crate::Key128;
+    use proptest::prelude::*;
 
     fn engine() -> BlockMac {
         BlockMac::new(Key128::derive(b"mac-test"))
@@ -132,6 +143,27 @@ mod tests {
     fn tag_as_u64_roundtrip() {
         let t = MacTag([1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(t.as_u64().to_le_bytes(), t.0);
+    }
+
+    proptest! {
+        /// A tag from the pre-keyed context is the truncated one-shot HMAC
+        /// of `data ‖ addr ‖ version` (little-endian) under the raw key.
+        #[test]
+        fn tag_equals_truncated_hmac(
+            key in prop::collection::vec(any::<u8>(), 16),
+            data in prop::collection::vec(any::<u8>(), 64),
+            addr in any::<u64>(),
+            version in any::<u64>(),
+        ) {
+            let key: [u8; 16] = key.try_into().expect("16 bytes");
+            let data: [u8; 64] = data.try_into().expect("64 bytes");
+            let mut message = data.to_vec();
+            message.extend_from_slice(&addr.to_le_bytes());
+            message.extend_from_slice(&version.to_le_bytes());
+            let full = hmac_sha256(&key, &message);
+            let tag = BlockMac::new(Key128(key)).tag(addr, version, &data);
+            prop_assert_eq!(&tag.0[..], &full[..8]);
+        }
     }
 
     #[test]

@@ -127,12 +127,17 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len * 8;
-        self.update(&[0x80]);
-        // Careful: update() bumps total_len, but bit_len is already captured.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // 0x80, zeros up to 56 mod 64, then the 8-byte length: one or two
+        // final blocks, absorbed in one update.
+        let zeros = if self.buffer_len < 56 {
+            55 - self.buffer_len
+        } else {
+            119 - self.buffer_len
+        };
+        let mut padding = [0u8; 72];
+        padding[0] = 0x80;
+        padding[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&padding[..9 + zeros]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -153,6 +158,7 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -193,6 +199,40 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split = {split}");
+        }
+    }
+
+    #[test]
+    fn frozen_digest_over_padding_edges() {
+        // Digests of every input length 0..=130 (crossing the 55/56, 63/64
+        // and 119/120 padding edges) chained into one frozen digest.
+        let data: Vec<u8> = (0..130u8).collect();
+        let mut all = Sha256::new();
+        for n in 0..=data.len() {
+            all.update(&sha256(&data[..n]));
+        }
+        assert_eq!(
+            hex(&all.finalize()),
+            "e5bbbecd60c3632a3455f465bfd8b079c30ef608d2bcc34227f4e5573029020e"
+        );
+    }
+
+    proptest! {
+        /// Feeding a message in three pieces at arbitrary split points
+        /// gives the one-shot digest.
+        #[test]
+        fn arbitrary_splits_match_oneshot(
+            data in prop::collection::vec(any::<u8>(), 0..300),
+            a in any::<usize>(),
+            b in any::<usize>(),
+        ) {
+            let (a, b) = (a % (data.len() + 1), b % (data.len() + 1));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let mut h = Sha256::new();
+            h.update(&data[..lo]);
+            h.update(&data[lo..hi]);
+            h.update(&data[hi..]);
+            prop_assert_eq!(h.finalize(), sha256(&data));
         }
     }
 

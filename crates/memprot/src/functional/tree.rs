@@ -10,7 +10,7 @@ use crate::SchemeKind;
 use std::collections::BTreeMap;
 use tnpu_crypto::ctr::CtrMode;
 use tnpu_crypto::mac::{BlockMac, MacTag};
-use tnpu_crypto::sha256::Sha256;
+use tnpu_crypto::sha256::sha256;
 use tnpu_crypto::Key128;
 use tnpu_sim::{Addr, BLOCK_SIZE};
 
@@ -115,13 +115,11 @@ impl CounterTreeMemory {
 
     /// Hash of a counter block's current (untrusted) serialized contents.
     fn counter_block_hash(&self, counter_block: u64) -> [u8; 32] {
-        let mut h = Sha256::new();
         let bytes = self.counters.get(&counter_block).map_or_else(
             || SplitCounterBlock::new().to_bytes(),
             SplitCounterBlock::to_bytes,
         );
-        h.update(&bytes);
-        h.finalize()
+        sha256(&bytes)
     }
 
     /// Effective counter of a data block, if its counter block exists.
@@ -134,11 +132,7 @@ impl CounterTreeMemory {
     }
 
     fn node_hash(node: &[[u8; 32]]) -> [u8; 32] {
-        let mut h = Sha256::new();
-        for child in node {
-            h.update(child);
-        }
-        h.finalize()
+        sha256(node.as_flattened())
     }
 
     /// Re-hash the path from `counter_block` to the root after a counter
