@@ -1,6 +1,6 @@
 # Convenience aliases for the checks CI runs. `make check` is the full gate.
 
-.PHONY: build test bench-test fmt clippy lint lint-sarif attacks faults serve decode check bench
+.PHONY: build test bench-test fmt clippy doc lint lint-sarif attacks faults serve decode check bench
 
 build:
 	cargo build --release --workspace --locked
@@ -18,6 +18,10 @@ fmt:
 
 clippy:
 	cargo clippy --workspace --all-targets --locked -- -D warnings
+
+# Rustdoc gate: broken or private intra-doc links fail the build.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
 # Workspace-policy linter (determinism / unit-safety / security-hygiene
 # rules plus the call-graph semantic families); --deny-all turns every
@@ -64,4 +68,4 @@ bench:
 	./target/release/experiments --bench-json BENCH_sweep.json all > /tmp/tnpu_bench_out.txt
 	diff -q results_full.txt /tmp/tnpu_bench_out.txt
 
-check: build test bench-test fmt clippy lint attacks faults serve decode
+check: build test bench-test fmt clippy doc lint attacks faults serve decode

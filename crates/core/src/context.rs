@@ -238,10 +238,11 @@ impl SecureNpuSession {
     }
 
     /// Whether the NPU's IOMMU currently caches a translation for `vpn`
-    /// (observability for shoot-down tests and the serving layer).
+    /// (observability for shoot-down tests and the serving layer). An NPU
+    /// outside the pool caches nothing.
     #[must_use]
     pub fn iommu_cached(&self, npu: usize, vpn: Vpn) -> bool {
-        self.iommus[npu].cached(vpn)
+        self.iommus.get(npu).is_some_and(|iommu| iommu.cached(vpn))
     }
 
     /// Shoot down the NPU's IOMMU TLB (the OS/driver can always do this).
@@ -583,5 +584,15 @@ mod tests {
         let npu = a.npu;
         s.destroy_context(&a).expect("teardown");
         assert!(!s.iommu_cached(npu, vpn), "shoot-down cleared the TLB");
+    }
+
+    #[test]
+    fn iommu_probe_outside_the_pool_is_false() {
+        // The observability probe is public API: an NPU index outside the
+        // pool has no IOMMU, so nothing is cached there.
+        let s = SecureNpuSession::new(Key128::derive(b"d"), 2);
+        let vpn = Vpn(NELRANGE_BASE / PAGE_SIZE);
+        assert!(!s.iommu_cached(2, vpn));
+        assert!(!s.iommu_cached(usize::MAX, vpn));
     }
 }

@@ -16,14 +16,18 @@
 //! * [`instr`] — the compiler pass of Fig. 13 (a): lowering a tiled plan
 //!   into the version-annotated secure instruction stream, plus a replay
 //!   checker for its consistency.
-//! * [`secure_runner`] — functional secure inference: real bytes through
-//!   real crypto with version management end-to-end.
+//! * [`secure_runner`] — the functional secure [`Session`]: real bytes
+//!   through real crypto with version management end-to-end, one
+//!   lifecycle (poisoning, recovery, epoch sweeps, suspend/resume) for
+//!   both step programs; the static layer-by-layer [`Inference`] program
+//!   ([`SecureRunner`](secure_runner::SecureRunner)) lives here.
 //! * [`recovery`] — bounded re-fetch retry and re-encryption epoch
 //!   sweeps for *environmental* faults, with every recovery cycle
 //!   charged through the scheme's cost engine.
-//! * [`stepped`] — dynamic-dataflow sessions: autoregressive decode
-//!   whose KV caches grow their tile-version state every append, and
-//!   training loops whose weight rewrites churn through version limits.
+//! * [`stepped`] — the dynamic-dataflow step program: autoregressive
+//!   decode whose KV caches grow their tile-version state every append,
+//!   and training loops whose weight rewrites churn through version
+//!   limits.
 //! * [`attacks`] — the adversarial attack-injection harness: seeded
 //!   attacks against full functional inferences, classified into the
 //!   scheme × attack detection matrix of §III/§IV-C.
@@ -37,6 +41,9 @@
 //! * [`sensor`] — the sensor-to-enclave secure ingestion of Fig. 3
 //!   (encrypted, authenticated, replay-protected frames).
 //! * [`system`] — the [`TnpuSystem`] facade tying everything together.
+//!
+//! [`Session`]: secure_runner::Session
+//! [`Inference`]: secure_runner::Inference
 
 pub mod attacks;
 pub mod context;

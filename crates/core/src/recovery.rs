@@ -6,8 +6,8 @@
 //! on the bus that is gone on the next fetch, a stalled DMA transfer, a
 //! glitch in the crypto engine — produce the *same* `MacMismatch` but are
 //! recoverable by simply fetching and verifying again. This module gives
-//! [`SecureRunner`](crate::secure_runner::SecureRunner) that second
-//! chance, with two invariants the tests pin down:
+//! a [`Session`](crate::secure_runner::Session) that second chance, with
+//! two invariants the tests pin down:
 //!
 //! * **Retries are never free.** Every re-fetch is charged through the
 //!   same [`ProtectionEngine`] cycle model the NPU controller uses
@@ -94,8 +94,9 @@ impl RecoveryStats {
     }
 }
 
-/// Retry/sweep state attached to a [`SecureRunner`] by
-/// [`enable_recovery`](crate::secure_runner::SecureRunner::enable_recovery).
+/// Retry/sweep state attached to a
+/// [`Session`](crate::secure_runner::Session) by
+/// [`enable_recovery`](crate::secure_runner::Session::enable_recovery).
 ///
 /// Owns the cycle-cost [`ProtectionEngine`] matching the runner's
 /// functional scheme, so recovery traffic is priced by the same model the
@@ -239,103 +240,6 @@ mod tests {
         assert_eq!(s.sweep_blocks, 1);
         assert!(s.sweep_cycles > 200, "read + write both priced");
         assert_eq!(s.total_cycles(), s.sweep_cycles + s.retry_cycles);
-    }
-
-    #[test]
-    fn epoch_sweep_preserves_expanded_tensors() {
-        // Regression test for the sweep × dynamic-dataflow interaction:
-        // a KV cache mid-sequence is tile-expanded at sweep time and must
-        // survive the sweep with its expansion shape, per-tile
-        // written/unwritten split, storage accounting, and plaintext all
-        // intact — while pre-sweep snapshots turn stale. The old sweep
-        // skipped expanded tensors entirely, silently dropping the cache.
-        use crate::secure_runner::{epoch_sweep_tensors, TILE_BYTES};
-        use crate::version::{VersionTable, ENTRY_BYTES};
-        use tnpu_crypto::Key128;
-        use tnpu_memprot::functional::TreelessMemory;
-        use tnpu_npu::alloc::TensorInfo;
-
-        let kv = TensorInfo {
-            id: 0,
-            addr: Addr(0),
-            bytes: 4 * TILE_BYTES, // capacity: 4 tiles; 3 expanded so far
-        };
-        let weight = TensorInfo {
-            id: 1,
-            addr: Addr(4 * TILE_BYTES),
-            bytes: 2 * BLOCK_SIZE as u64,
-        };
-        let mut table = VersionTable::new();
-        table.register(kv.id);
-        table.register(weight.id);
-        let mut mem = TreelessMemory::new(Key128::derive(b"sweep-expanded"));
-
-        // Mid-sequence state: 3 tiles expanded, tiles 0/1 at version 2,
-        // tile 2 at 1 (the step in flight), tile 3 not yet appended.
-        table.expand(kv.id, 2).expect("expand");
-        table.expand(kv.id, 3).expect("grow");
-        let write_tile = |mem: &mut TreelessMemory, tile: u32, version: u64| {
-            for b in 0..TILE_BYTES / BLOCK_SIZE as u64 {
-                let addr = kv
-                    .addr
-                    .offset(u64::from(tile) * TILE_BYTES + b * BLOCK_SIZE as u64);
-                mem.write_block(addr, version, [tile as u8 + 1; BLOCK_SIZE]);
-            }
-        };
-        for tile in 0..3u32 {
-            table.bump_tile(kv.id, tile).expect("bump");
-        }
-        for tile in 0..2u32 {
-            table.bump_tile(kv.id, tile).expect("bump");
-            write_tile(&mut mem, tile, 2);
-        }
-        write_tile(&mut mem, 2, 1);
-        let v = table.bump(weight.id).expect("bump");
-        for b in 0..2u64 {
-            mem.write_block(
-                weight.addr.offset(b * BLOCK_SIZE as u64),
-                v,
-                [9; BLOCK_SIZE],
-            );
-        }
-
-        let storage_before = table.storage_bytes();
-        let peak_before = table.peak_storage_bytes();
-        let stale = table.snapshot(0);
-        let mut epoch = 0u64;
-        epoch_sweep_tensors(&[kv, weight], &mut table, &mut mem, None, &mut epoch)
-            .expect("sweep over intact state");
-
-        assert_eq!(epoch, 1);
-        // The expansion shape survives: still expanded, same tile count,
-        // written tiles at 1 under the new epoch, storage bytes unmoved.
-        assert_eq!(table.is_expanded(kv.id), Ok(true));
-        assert_eq!(table.tile_count(kv.id), Ok(3));
-        for tile in 0..3 {
-            assert_eq!(table.version(kv.id, tile), Ok(1), "tile {tile}");
-        }
-        assert_eq!(table.version(weight.id, 0), Ok(1));
-        assert_eq!(table.storage_bytes(), storage_before);
-        assert_eq!(table.storage_bytes(), 3 * ENTRY_BYTES + ENTRY_BYTES);
-        assert_eq!(table.peak_storage_bytes(), peak_before);
-        // Plaintext round-trips under the new keys and versions.
-        for tile in 0..3u32 {
-            let addr = kv.addr.offset(u64::from(tile) * TILE_BYTES);
-            let block = mem.read_block(addr, 1).expect("verifies in new epoch");
-            assert_eq!(block, [tile as u8 + 1; BLOCK_SIZE], "tile {tile}");
-        }
-        // The growth path still works post-sweep: appending tile 3 seeds
-        // it at the current max (1) and its first bump writes at 2.
-        table.expand(kv.id, 4).expect("grow post-sweep");
-        assert_eq!(table.bump_tile(kv.id, 3), Ok(2));
-        // A pre-sweep snapshot is now a typed staleness refusal.
-        assert_eq!(
-            table.restore(&stale, epoch),
-            Err(crate::version::VersionError::StaleSnapshot {
-                snapshot: 0,
-                current: 1
-            })
-        );
     }
 
     #[test]

@@ -1,12 +1,24 @@
-//! Functional secure execution of a model (real bytes, real crypto).
+//! Functional secure sessions (real bytes, real crypto).
 //!
-//! Drives a whole inference through the tree-less protection exactly as
-//! the paper's software would: the CPU enclave initializes tensors through
-//! the `ts_*` path, every `mvin` verifies blocks against the expected
-//! version, every layer expands its output tensor into tile versions,
-//! bumps them per `mvout`, and merges them when the layer completes
-//! (Figs. 9/13). Tests tamper with the untrusted DRAM between layers and
-//! watch the next layer's `mvin` fail.
+//! One [`Session`] type drives a context through the tree-less protection
+//! exactly as the paper's software would: the CPU enclave initializes
+//! tensors through the `ts_*` path, every `mvin` verifies blocks against
+//! the expected version, every produced tensor is expanded into tile
+//! versions, bumped per `mvout`, and merged when complete (Figs. 9/13).
+//! What one step reads and writes is the session's *step program*:
+//!
+//! * [`Inference`] ([`SecureRunner`]) — the static pass: one step per
+//!   model layer, every tensor written once per inference.
+//! * [`Stepped`](crate::stepped::Stepped)
+//!   ([`SteppedSession`](crate::stepped::SteppedSession)) —
+//!   an autoregressive decode step or a training iteration (see
+//!   [`crate::stepped`]).
+//!
+//! Everything else is one lifecycle shared by both programs: the version
+//! table, the poison guard, recovery (bounded retry, the re-encryption
+//! epoch sweep, [`Session::recover`]), suspend/resume and the read-back.
+//! Tests tamper with the untrusted DRAM between steps and watch the next
+//! `mvin` fail.
 //!
 //! Layer arithmetic is a deterministic byte-mixing function (a digest of
 //! the verified inputs seeds the output bytes) — enough to carry data-flow
@@ -15,13 +27,16 @@
 
 use crate::cpu_access::{CpuTensorAccess, TsError};
 use crate::recovery::{Recovery, RecoveryStats, RetryPolicy};
+use crate::serving::Switcher;
 use crate::version::{VersionError, VersionSnapshot, VersionTable};
 use tnpu_crypto::sha256::Sha256;
 use tnpu_crypto::Key128;
 use tnpu_memprot::functional::{FunctionalMemory, IntegrityError, MismatchCause, TreelessMemory};
 use tnpu_memprot::ProtectionEngine;
+use tnpu_models::defs::dynamic::CACHE_MARKER;
 use tnpu_models::{LayerKind, Model, ELEM_BYTES};
 use tnpu_npu::alloc::{ModelLayout, TensorInfo};
+use tnpu_npu::config::NpuConfig;
 use tnpu_sim::rng::SplitMix64;
 use tnpu_sim::{Addr, BLOCK_SIZE};
 
@@ -40,9 +55,9 @@ pub enum RunError {
     /// A CPU `ts_*` access failed for a non-integrity reason.
     Cpu(TsError),
     /// An earlier call on this context failed with an integrity, version,
-    /// or CPU error, quarantining it: the in-flight inference may have
+    /// or CPU error, quarantining it: the in-flight step may have
     /// consumed corrupted state, so every further call is refused until
-    /// [`SecureRunner::recover`] re-establishes a consistent epoch.
+    /// [`Session::recover`] re-establishes a consistent epoch.
     Poisoned,
 }
 
@@ -78,22 +93,23 @@ impl From<VersionError> for RunError {
 }
 
 /// The architectural state a preempted context saves through the
-/// fully-protected region: the epoch-tagged version-table snapshot, the
-/// layer cursor, and the inference's input seed. Produced by
-/// [`SecureRunner::suspend`], consumed by [`SecureRunner::resume`].
+/// fully-protected region: the epoch-tagged version-table snapshot (which
+/// mid-sequence carries one entry per expanded cache tile), the cursor,
+/// and the seed. Produced by [`Session::suspend`], consumed by
+/// [`Session::resume`].
 ///
 /// The tensor data itself stays in protected DRAM — versioned MACs make it
 /// self-authenticating, so a context switch moves only this (KB-scale)
 /// state, which is exactly what the serving layer charges as
 /// protected-region DMA.
 #[derive(Debug, Clone)]
-pub struct RunnerSnapshot {
+pub struct SessionSnapshot {
     table: VersionSnapshot,
-    next_layer: usize,
+    cursor: u64,
     seed: u64,
 }
 
-impl RunnerSnapshot {
+impl SessionSnapshot {
     /// The re-encryption epoch the snapshot was taken in.
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -121,88 +137,122 @@ pub struct LayerTrace {
     pub tiles: u32,
 }
 
-/// The functional secure runner for one NPU context.
+/// The static inference program: each step runs one model layer, verifying
+/// its inputs and weights and producing its output tensor. Cache-marked
+/// weights are ordinary weights here.
+#[derive(Debug, Clone, Copy)]
+pub struct Inference;
+
+/// A session running the static [`Inference`] program.
+pub type SecureRunner<M = TreelessMemory> = Session<M, Inference>;
+
+/// A functional secure context for one NPU, running step program `P`
+/// ([`Inference`] or [`Stepped`](crate::stepped::Stepped)).
 ///
 /// Generic over the [`FunctionalMemory`] the context computes on: the
 /// default is the paper's tree-less scheme, and the adversary harness
 /// instantiates it over every scheme to compare what each one detects.
 #[derive(Debug)]
-pub struct SecureRunner<M: FunctionalMemory = TreelessMemory> {
-    model: Model,
-    layout: ModelLayout,
-    table: VersionTable,
-    mem: M,
-    cpu: CpuTensorAccess,
-    next_layer: usize,
-    seed: u64,
+pub struct Session<M: FunctionalMemory, P> {
+    pub(crate) model: Model,
+    pub(crate) layout: ModelLayout,
+    pub(crate) table: VersionTable,
+    pub(crate) mem: M,
+    pub(crate) cpu: CpuTensorAccess,
+    /// Trained weights, in layer order: every non-shared weight slot, less
+    /// the caches when the program keeps them apart.
+    pub(crate) weights: Vec<TensorInfo>,
+    /// Cache-marked weight slots, in layer order (decode only).
+    pub(crate) caches: Vec<TensorInfo>,
+    /// Layers run ([`Inference`]) or steps taken (stepped programs).
+    pub(crate) cursor: u64,
+    /// The cursor value at which the program is finished.
+    pub(crate) capacity: u64,
+    /// Input seed of the current inference, or the stepped session seed.
+    pub(crate) seed: u64,
     /// Retry/sweep machinery; `None` (the default) reproduces the
     /// pre-recovery behavior exactly — fail on the first bad read.
-    recovery: Option<Recovery>,
+    pub(crate) recovery: Option<Recovery>,
     /// Re-encryption epoch (bumped by each sweep; 0 = initial keys).
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// Set when a call fails with anything but [`RunError::Finished`].
-    poisoned: bool,
+    pub(crate) poisoned: bool,
+    pub(crate) program: P,
 }
 
-impl SecureRunner<TreelessMemory> {
-    /// Set up a tree-less context with keys derived from `master_key`.
-    #[must_use]
-    pub fn new(model: &Model, master_key: Key128, seed: u64) -> Self {
-        Self::with_memory(model, TreelessMemory::new(master_key), seed)
-    }
-}
-
-impl<M: FunctionalMemory> SecureRunner<M> {
-    /// Set up the context over an existing memory: allocate tensors,
-    /// register them in the version table, and initialize the input and
-    /// every weight tensor through the CPU `ts_write` path with
-    /// deterministic synthetic contents.
-    #[must_use]
-    pub fn with_memory(model: &Model, mut mem: M, seed: u64) -> Self {
-        let layout = ModelLayout::allocate(model, Addr(0));
-        let mut table = VersionTable::new();
-        let mut cpu = CpuTensorAccess::new();
-
-        table.register(layout.input.id);
-        // tnpu-lint: allow(panic-path) — bump directly follows register.
-        let input_version = table.bump(layout.input.id).expect("registered");
-        let input_bytes = synth_bytes(seed, layout.input.id, layout.input.bytes);
-        cpu.write_tensor(&mut mem, layout.input.addr, input_version, &input_bytes);
-
-        // ModelLayout::allocate builds one weights/outputs slot per model
-        // layer, so `li` always indexes both in the loop below.
-        for li in 0..model.layers.len() {
-            // tnpu-lint: allow(panic-path) — layout slots are per-layer.
-            if let Some(w) = layout.weights[li] {
-                // A shared slot reuses the owner's already-initialized
-                // entry, but the layer still owns its *output* tensor —
-                // the guard must not skip the registration below (it once
-                // did, via a `continue`, which no static-suite model
-                // noticed because none of them tie weights; the dynamic
-                // decode/train models do and hit `UnknownTensor`).
-                // tnpu-lint: allow(panic-path) — layout slots are per-layer.
-                if model.layers[li].weights_shared_with.is_none() {
-                    table.register(w.id);
-                    // tnpu-lint: allow(panic-path) — bump directly follows register.
-                    let v = table.bump(w.id).expect("registered");
-                    let bytes = synth_bytes(seed, w.id, w.bytes);
-                    cpu.write_tensor(&mut mem, w.addr, v, &bytes);
-                }
+/// The tensors a context registers in a fresh version table: the input,
+/// every non-shared weight slot, and every layer output. Returns the table
+/// plus the weight slots in layer order, split into trained weights and —
+/// if `caches_apart` — cache-marked ones ([`CACHE_MARKER`]).
+///
+/// The one place this set is decided: both session programs build on it,
+/// and serving prices a fresh context's version-table spill from the table
+/// it returns.
+pub(crate) fn register_tensors(
+    model: &Model,
+    layout: &ModelLayout,
+    caches_apart: bool,
+) -> (VersionTable, Vec<TensorInfo>, Vec<TensorInfo>) {
+    let mut table = VersionTable::new();
+    let (mut weights, mut caches) = (Vec::new(), Vec::new());
+    table.register(layout.input.id);
+    // ModelLayout::allocate builds one weights/outputs slot per layer.
+    let slots = layout.weights.iter().zip(&layout.outputs);
+    for (layer, (w, out)) in model.layers.iter().zip(slots) {
+        // A shared slot reuses the owner's entry, but the layer still owns
+        // its *output* tensor — the guard must not skip the registration
+        // below (it once did, via a `continue`, which no static-suite model
+        // noticed because none of them tie weights; the dynamic decode/train
+        // models do and hit `UnknownTensor`).
+        if let Some(w) = w.filter(|_| layer.weights_shared_with.is_none()) {
+            table.register(w.id);
+            if caches_apart && layer.name.contains(CACHE_MARKER) {
+                caches.push(w); // stays at version 0 until appended
+            } else {
+                weights.push(w);
             }
-            // tnpu-lint: allow(panic-path) — layout slots are per-layer.
-            table.register(layout.outputs[li].id);
         }
-        SecureRunner {
+        table.register(out.id);
+    }
+    (table, weights, caches)
+}
+
+impl<M: FunctionalMemory, P> Session<M, P> {
+    /// A context over `mem` with every tensor allocated and registered
+    /// (see [`register_tensors`]) and nothing written yet; the program's
+    /// constructor sets the capacity and writes what it starts from.
+    pub(crate) fn alloc(model: &Model, mem: M, seed: u64, caches_apart: bool, program: P) -> Self {
+        let layout = ModelLayout::allocate(model, Addr(0));
+        let (table, weights, caches) = register_tensors(model, &layout, caches_apart);
+        Session {
             model: model.clone(),
             layout,
             table,
             mem,
-            cpu,
-            next_layer: 0,
+            cpu: CpuTensorAccess::new(),
+            weights,
+            caches,
+            cursor: 0,
+            capacity: 0,
             seed,
             recovery: None,
             epoch: 0,
             poisoned: false,
+            program,
+        }
+    }
+
+    /// Initialize every trained weight through the CPU `ts_write` path
+    /// with deterministic synthetic contents at version 1, handing each
+    /// plaintext to `seen`.
+    pub(crate) fn init_weights(&mut self, mut seen: impl FnMut(&[u8])) {
+        for w in self.weights.clone() {
+            // tnpu-lint: allow(panic-path) — the first bump of a freshly
+            // registered entry, under the default limit.
+            let v = self.table.bump(w.id).expect("registered");
+            let bytes = synth_bytes(self.seed, w.id, w.bytes);
+            seen(&bytes);
+            self.cpu.write_tensor(&mut self.mem, w.addr, v, &bytes);
         }
     }
 
@@ -210,9 +260,11 @@ impl<M: FunctionalMemory> SecureRunner<M> {
     /// signature (stalled transfer, content-cause MAC mismatch, tree
     /// mismatch) are re-fetched up to the policy's budget, each attempt
     /// charged real cycles through `engine`, and version exhaustion is
-    /// consumed by a re-encryption epoch sweep instead of aborting.
-    /// `engine` should be the cycle-cost engine matching this runner's
-    /// functional scheme so recovery traffic is priced consistently.
+    /// consumed by a re-encryption epoch sweep instead of aborting — which
+    /// for the stepped workloads is the *normal* operating mode, since
+    /// churn makes exhaustion a matter of when, not if. `engine` should be
+    /// the cycle-cost engine matching this context's functional scheme so
+    /// recovery traffic is priced consistently.
     pub fn enable_recovery(&mut self, policy: RetryPolicy, engine: Box<dyn ProtectionEngine>) {
         self.recovery = Some(Recovery::new(policy, engine));
     }
@@ -226,12 +278,18 @@ impl<M: FunctionalMemory> SecureRunner<M> {
 
     /// Lower the version-exhaustion threshold (tests and the fault
     /// harness use this to reach the epoch sweep without 2^64 bumps).
-    /// Note a limit of 1 leaves the sweep no headroom — the sweep itself
-    /// rewrites every live tensor at version 1, so the next bump is
-    /// exhausted again and the run aborts; meaningful recovery needs a
-    /// limit of at least 2.
+    ///
+    /// A limit of 0 is raised to 1: version 0 means "never written", so 1
+    /// is the smallest limit under which a tensor can be written at all,
+    /// and with a limit of at least 1 the sweep's rewrite at version 1
+    /// cannot fail after the re-key. A limit of 1 still leaves the sweep no
+    /// headroom — the next bump after it is exhausted again and the step
+    /// aborts — so meaningful recovery needs a limit of at least 2. A
+    /// decode step bumps its frontier cache tile from a value that only
+    /// grows over the sequence: the expand-grow rule seeds new tiles at the
+    /// current maximum so stale versions are never reused.
     pub fn set_version_limit(&mut self, limit: u64) {
-        self.table.set_limit(limit);
+        self.table.set_limit(limit.max(1));
     }
 
     /// Current re-encryption epoch (0 until the first sweep).
@@ -246,64 +304,16 @@ impl<M: FunctionalMemory> SecureRunner<M> {
         self.poisoned
     }
 
-    fn guard(&self) -> Result<(), RunError> {
-        if self.poisoned {
-            Err(RunError::Poisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Record the outcome of a fallible call: any error except
-    /// [`RunError::Finished`] quarantines the context.
-    fn note<T>(&mut self, r: Result<T, RunError>) -> Result<T, RunError> {
-        if let Err(e) = &r {
-            if !matches!(e, RunError::Finished) {
-                self.poisoned = true;
-            }
-        }
-        r
-    }
-
-    /// Start the next inference in the same context: rewrite the input
-    /// tensor with fresh synthetic contents under a bumped version and
-    /// rewind the layer cursor. Weights stay as initialized; output
-    /// tensors keep their version history and are bumped again as the new
-    /// pass produces them — the steady-state reuse pattern whose replay
-    /// window the version numbers close.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Version`] if the input version counter is exhausted
-    /// (with recovery enabled, exhaustion is consumed by an epoch sweep
-    /// instead); [`RunError::Poisoned`] if the context is quarantined.
-    pub fn next_inference(&mut self, input_seed: u64) -> Result<(), RunError> {
-        self.guard()?;
-        let r = self.next_inference_inner(input_seed);
-        self.note(r)
-    }
-
-    fn next_inference_inner(&mut self, input_seed: u64) -> Result<(), RunError> {
-        self.seed = input_seed;
-        self.next_layer = 0;
-        let version = match self.table.bump(self.layout.input.id) {
-            Ok(v) => v,
-            Err(VersionError::Exhausted(_)) if self.recovery.is_some() => {
-                self.epoch_sweep()?;
-                self.table.bump(self.layout.input.id)?
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let bytes = synth_bytes(input_seed, self.layout.input.id, self.layout.input.bytes);
-        self.cpu
-            .write_tensor(&mut self.mem, self.layout.input.addr, version, &bytes);
-        Ok(())
-    }
-
     /// The version table (inspection).
     #[must_use]
     pub fn version_table(&self) -> &VersionTable {
         &self.table
+    }
+
+    /// The model this context runs.
+    #[must_use]
+    pub fn model(&self) -> &Model {
+        &self.model
     }
 
     /// The address map.
@@ -324,27 +334,424 @@ impl<M: FunctionalMemory> SecureRunner<M> {
         &mut self.mem
     }
 
-    /// Whether every layer has executed.
+    /// Whether the program has run to its end: every layer of the
+    /// inference, or a decode session's KV capacity.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.next_layer >= self.model.layers.len()
+        self.cursor >= self.capacity
+    }
+
+    /// Cycles a preemption of this context costs *right now* — one spill
+    /// plus one restore of the live version table through the serving
+    /// layer's context-switch cost model. Mid-sequence the table carries
+    /// one entry per expanded cache tile, so the price of preempting a
+    /// decode session grows with its position in the sequence (the
+    /// under-billing the static per-model estimate used to hide).
+    #[must_use]
+    pub fn preemption_cycles(&self, config: &NpuConfig) -> u64 {
+        let mut switcher = Switcher::new(self.mem.scheme(), config);
+        let vt_bytes = self.table.storage_bytes();
+        switcher.charge(vt_bytes, true) + switcher.charge(vt_bytes, false)
+    }
+
+    /// Run a fallible call behind the poison guard: refused while the
+    /// context is quarantined, and any error except [`RunError::Finished`]
+    /// quarantines it.
+    pub(crate) fn guarded<T>(
+        &mut self,
+        call: impl FnOnce(&mut Self) -> Result<T, RunError>,
+    ) -> Result<T, RunError> {
+        if self.poisoned {
+            return Err(RunError::Poisoned);
+        }
+        let r = call(self);
+        if r.as_ref().is_err_and(|e| *e != RunError::Finished) {
+            self.poisoned = true;
+        }
+        r
+    }
+
+    /// The last layer's output slot: the inference result, or the stepped
+    /// session's logits/loss.
+    pub(crate) fn output(&self) -> TensorInfo {
+        // tnpu-lint: allow(panic-path) — Model construction rejects empty
+        // layer lists, so `outputs` is never empty.
+        *self.layout.outputs.last().expect("models have layers")
+    }
+
+    /// One verified read with the recovery retry budget. Without recovery
+    /// this is exactly `mem.read_block` — the first result, pass or fail.
+    /// With recovery, errors whose cause a re-fetch can plausibly clear (a
+    /// stalled transfer, a content-cause MAC mismatch from transient bus
+    /// corruption, a glitched counter fetch) are retried up to the budget,
+    /// each attempt charged real cycles. Version- and address-cause
+    /// mismatches are *semantic* — replayed or relocated ciphertext that
+    /// re-reading the same state cannot fix — and escalate immediately, so
+    /// retries never launder a replay into a recovery.
+    pub(crate) fn verified_read(
+        &mut self,
+        addr: Addr,
+        version: u64,
+    ) -> Result<[u8; BLOCK_SIZE], IntegrityError> {
+        let first = self.mem.read_block(addr, version);
+        let Some(rec) = self.recovery.as_mut() else {
+            return first;
+        };
+        let mut last = match first {
+            Ok(data) => return Ok(data),
+            Err(e) => e,
+        };
+        for attempt in 0..rec.policy.max_retries {
+            if !retryable(&last) {
+                break;
+            }
+            rec.charge_retry(addr, version, attempt);
+            match self.mem.read_block(addr, version) {
+                Ok(data) => {
+                    rec.note_recovered();
+                    return Ok(data);
+                }
+                Err(e) => last = e,
+            }
+        }
+        rec.note_escalated();
+        Err(last)
+    }
+
+    /// Bump a single-entry tensor, consuming exhaustion with an epoch
+    /// sweep when recovery is enabled (the reactive path behind the
+    /// pre-flight sweeps).
+    pub(crate) fn bump_or_sweep(&mut self, id: u32, swept: &mut bool) -> Result<u64, RunError> {
+        match self.table.bump(id) {
+            Err(VersionError::Exhausted(_)) if self.recovery.is_some() => {
+                self.epoch_sweep()?;
+                *swept = true;
+                Ok(self.table.bump(id)?)
+            }
+            r => Ok(r?),
+        }
+    }
+
+    /// Rewrite the input tensor with synthetic contents drawn from `seed`
+    /// under a bumped version; returns whether the bump swept.
+    pub(crate) fn write_input(&mut self, seed: u64) -> Result<bool, RunError> {
+        let input = self.layout.input;
+        let mut swept = false;
+        let version = self.bump_or_sweep(input.id, &mut swept)?;
+        let bytes = synth_bytes(seed, input.id, input.bytes);
+        self.cpu
+            .write_tensor(&mut self.mem, input.addr, version, &bytes);
+        Ok(swept)
     }
 
     /// Verify + read one whole tensor (every block, under its current
     /// version), feeding the digest.
-    fn ingest_tensor(&mut self, digest: &mut Sha256, info: TensorInfo) -> Result<u64, RunError> {
+    pub(crate) fn ingest_tensor(
+        &mut self,
+        digest: &mut Sha256,
+        info: TensorInfo,
+    ) -> Result<u64, RunError> {
         let version = self.table.version(info.id, 0)?;
         let blocks = info.bytes.div_ceil(BLOCK_SIZE as u64);
         for b in 0..blocks {
-            let data = read_with_retry(
-                &self.mem,
-                self.recovery.as_mut(),
-                info.addr.offset(b * BLOCK_SIZE as u64),
-                version,
-            )?;
+            let data = self.verified_read(info.addr.offset(b * BLOCK_SIZE as u64), version)?;
             digest.update(&data);
         }
         Ok(blocks)
+    }
+
+    /// Whether producing `out` would push its version past the limit.
+    pub(crate) fn output_would_exhaust(&self, out: TensorInfo) -> Result<bool, RunError> {
+        Ok(
+            !self.table.is_expanded(out.id)?
+                && self.table.version(out.id, 0)? >= self.table.limit(),
+        )
+    }
+
+    /// The mvout phase: produce `out` from a step digest tile by tile —
+    /// expand, bump each tile's version, write, then merge. Returns the
+    /// tile count and the blocks written.
+    pub(crate) fn produce_output(
+        &mut self,
+        out: TensorInfo,
+        state: &[u8; 32],
+    ) -> Result<(u32, u64), RunError> {
+        // Refuse before expanding: a failed step must leave the tensor
+        // merged, or the retry after `recover` could never expand it again.
+        if self.output_would_exhaust(out)? {
+            return Err(VersionError::Exhausted(out.id).into());
+        }
+        let tiles = out.bytes.div_ceil(TILE_BYTES).max(1) as u32;
+        self.table.expand(out.id, tiles)?;
+        let mut blocks_written = 0;
+        for tile in 0..tiles {
+            let version = self.table.bump_tile(out.id, tile)?;
+            let tile_base = u64::from(tile) * TILE_BYTES;
+            let tile_len = TILE_BYTES.min(out.bytes - tile_base);
+            let mut rng = SplitMix64::new(state_seed(state) ^ u64::from(tile));
+            let mut off = 0;
+            while off < tile_len {
+                let mut block = [0u8; BLOCK_SIZE];
+                for chunk in block.chunks_exact_mut(8) {
+                    chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+                }
+                self.mem
+                    .write_block(out.addr.offset(tile_base + off), version, block);
+                blocks_written += 1;
+                off += BLOCK_SIZE as u64;
+            }
+        }
+        self.table.merge(out.id)?;
+        Ok((tiles, blocks_written))
+    }
+
+    /// Read the output back on the CPU side (post-processing, Fig. 3),
+    /// verifying it: the inference result, or the stepped session's
+    /// logits/loss surrogate.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Integrity`] if the output fails verification;
+    /// [`RunError::Poisoned`] if the context is quarantined.
+    pub fn read_output(&mut self) -> Result<Vec<u8>, RunError> {
+        self.guarded(|s| s.read_output_inner())
+    }
+
+    fn read_output_inner(&mut self) -> Result<Vec<u8>, RunError> {
+        let last = self.output();
+        let version = self.table.version(last.id, 0)?;
+        if self.recovery.is_none() {
+            return self
+                .cpu
+                .read_tensor(&self.mem, last.addr, version, last.bytes as usize)
+                .map_err(|e| match e {
+                    TsError::Integrity(err) => RunError::Integrity(err),
+                    other => RunError::Cpu(other),
+                });
+        }
+        // Recovery-aware read-back: the same blocks as the `ts_*` path
+        // (sequential, truncated to the tensor length), but each fetch
+        // gets the retry budget.
+        let blocks = last.bytes.div_ceil(BLOCK_SIZE as u64);
+        let mut out = Vec::with_capacity(last.bytes as usize);
+        for b in 0..blocks {
+            let data = self.verified_read(last.addr.offset(b * BLOCK_SIZE as u64), version)?;
+            out.extend_from_slice(&data);
+        }
+        out.truncate(last.bytes as usize);
+        Ok(out)
+    }
+
+    /// Every tensor the epoch sweep must preserve, in sweep order: the
+    /// input, the trained weights, the caches, and every layer output.
+    fn live_tensors(&self) -> Vec<TensorInfo> {
+        let mut out = vec![self.layout.input];
+        out.extend(self.weights.iter().copied());
+        out.extend(self.caches.iter().copied());
+        out.extend(self.layout.outputs.iter().copied());
+        out
+    }
+
+    /// Re-encryption epoch sweep, consumed on version exhaustion
+    /// (`VersionError::Exhausted`): verify and capture every live tensor,
+    /// rotate the memory's keys to a fresh epoch, reset every version to
+    /// 0, and rewrite the captured contents under version 1 of the new
+    /// epoch. Reusing the low version numbers is sound *only* because the
+    /// re-key kills every MAC bound under the old epoch. Never-written
+    /// tensors (version 0) are skipped. Mid-production (tile-expanded)
+    /// tensors — a KV cache mid-sequence stays expanded for the whole
+    /// decode — are preserved tile by tile: each written tile is captured
+    /// under its own version, and after the re-key the entry is
+    /// re-expanded to the same tile count with written tiles rewritten at
+    /// version 1 and never-written tiles left at 0, so the producer sees
+    /// the same expansion shape in the new epoch. Tile geometry is
+    /// [`TILE_BYTES`], matching both the layer producer and the KV-append
+    /// path. With recovery enabled, the full DMA + crypto cost of the
+    /// sweep is charged to `sweep_cycles`.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Integrity`] if a live block fails verification even
+    /// after retries (persistent tampering). The failure is reported from
+    /// the capture phase, *before* any key or version mutates.
+    pub(crate) fn epoch_sweep(&mut self) -> Result<(), RunError> {
+        // Per tensor: its expansion tile count (`None` for a single
+        // entry) and each written span as (tile, captured blocks).
+        type Spans = Vec<(u32, Vec<[u8; BLOCK_SIZE]>)>;
+        let mut saved: Vec<(TensorInfo, Option<u32>, Spans)> = Vec::new();
+        for t in self.live_tensors() {
+            let count = if self.table.is_expanded(t.id)? {
+                Some(self.table.tile_count(t.id)?)
+            } else {
+                None
+            };
+            let mut spans = Vec::new();
+            for tile in 0..count.unwrap_or(1) {
+                let base = u64::from(tile) * TILE_BYTES;
+                if base >= t.bytes && count.is_some() {
+                    break; // expansion past the allocation holds no data
+                }
+                let version = self.table.version(t.id, tile)?;
+                if version == 0 {
+                    continue; // never written: nothing to capture
+                }
+                let len = count.map_or(t.bytes, |_| TILE_BYTES.min(t.bytes - base));
+                let blocks = len.div_ceil(BLOCK_SIZE as u64);
+                let mut data = Vec::with_capacity(blocks as usize);
+                for b in 0..blocks {
+                    let addr = t.addr.offset(base + b * BLOCK_SIZE as u64);
+                    data.push(self.verified_read(addr, version)?);
+                    if let Some(rec) = self.recovery.as_mut() {
+                        rec.charge_sweep_read(addr, version);
+                    }
+                }
+                spans.push((tile, data));
+            }
+            saved.push((t, count, spans));
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        self.mem.rekey(self.epoch);
+        self.table.reset_epoch();
+        // Single-entry tensors are rewritten before expanded ones (a stable
+        // sort keeps each group in live order): the recovery engine's
+        // caches price the sweep in exactly this access order.
+        saved.sort_by_key(|(_, count, _)| count.is_some());
+        for (t, count, spans) in saved {
+            if let Some(count) = count {
+                // reset_epoch collapsed the entry to Single(0); restore
+                // the expansion shape before rewriting its tiles.
+                self.table.expand(t.id, count)?;
+            }
+            for (tile, data) in spans {
+                // 0 -> 1 under the new epoch.
+                let version = match count {
+                    Some(_) => self.table.bump_tile(t.id, tile)?,
+                    None => self.table.bump(t.id)?,
+                };
+                let base = u64::from(tile) * TILE_BYTES;
+                for (b, block) in (0u64..).zip(data) {
+                    let addr = t.addr.offset(base + b * BLOCK_SIZE as u64);
+                    self.mem.write_block(addr, version, block);
+                    if let Some(rec) = self.recovery.as_mut() {
+                        rec.charge_sweep_write(addr, version);
+                    }
+                }
+            }
+        }
+        if let Some(rec) = self.recovery.as_mut() {
+            rec.note_sweep();
+        }
+        Ok(())
+    }
+
+    /// Lift the quarantine after a failure: run an epoch sweep to
+    /// re-establish a consistent state (fresh keys, versions reset, every
+    /// intact tensor re-encrypted). The cursor is kept, so the quarantined
+    /// layer or step is retried in the new epoch: every write a step makes
+    /// covers a whole tensor or tile under one version, so whatever the
+    /// failure interrupted, the sweep re-captures a uniformly consistent
+    /// state — mid-sequence KV expansion included. If the memory still
+    /// holds state that fails verification even after retries — a
+    /// persistent fault or a real attack — the sweep reports it and the
+    /// context *stays* poisoned.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sweep's [`RunError::Integrity`] on persistent
+    /// tampering.
+    pub fn recover(&mut self) -> Result<(), RunError> {
+        self.epoch_sweep()?;
+        self.poisoned = false;
+        Ok(())
+    }
+
+    /// Suspend the context at a step boundary for a context switch:
+    /// capture the epoch-tagged version-table snapshot plus the cursor and
+    /// seed. The tensor data stays in protected DRAM (self-authenticating
+    /// under the versioned MACs); only this snapshot leaves the NPU.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Poisoned`] if the context is quarantined — a poisoned
+    /// context must not smuggle its state past the quarantine via a
+    /// suspend/resume cycle.
+    pub fn suspend(&self) -> Result<SessionSnapshot, RunError> {
+        if self.poisoned {
+            return Err(RunError::Poisoned);
+        }
+        Ok(SessionSnapshot {
+            table: self.table.snapshot(self.epoch),
+            cursor: self.cursor,
+            seed: self.seed,
+        })
+    }
+
+    /// Resume from a [`suspend`](Self::suspend) snapshot, re-validating
+    /// its epoch tag against the context's current epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Version`] with [`VersionError::StaleSnapshot`] if an
+    /// epoch sweep ran while the context was suspended — restoring
+    /// pre-sweep versions under post-sweep keys is the replay hazard the
+    /// epoch tag closes. The attempt quarantines the context (an attempted
+    /// rollback, whether bug or attack, leaves its scheduling state
+    /// untrustworthy). [`RunError::Poisoned`] if already quarantined.
+    pub fn resume(&mut self, snapshot: &SessionSnapshot) -> Result<(), RunError> {
+        self.guarded(|s| {
+            s.table.restore(&snapshot.table, s.epoch)?;
+            s.cursor = snapshot.cursor;
+            s.seed = snapshot.seed;
+            Ok(())
+        })
+    }
+}
+
+impl Session<TreelessMemory, Inference> {
+    /// Set up a tree-less context with keys derived from `master_key`.
+    #[must_use]
+    pub fn new(model: &Model, master_key: Key128, seed: u64) -> Self {
+        Self::with_memory(model, TreelessMemory::new(master_key), seed)
+    }
+}
+
+impl<M: FunctionalMemory> Session<M, Inference> {
+    /// Set up the context over an existing memory: allocate tensors,
+    /// register them in the version table, and initialize the input and
+    /// every weight tensor through the CPU `ts_write` path with
+    /// deterministic synthetic contents.
+    #[must_use]
+    pub fn with_memory(model: &Model, mem: M, seed: u64) -> Self {
+        let mut s = Session::alloc(model, mem, seed, false, Inference);
+        s.capacity = model.layers.len() as u64;
+        // tnpu-lint: allow(panic-path) — the first bump of a freshly
+        // registered entry, under the default limit, without recovery.
+        s.write_input(seed).expect("registered");
+        s.init_weights(|_| {});
+        s
+    }
+
+    /// Start the next inference in the same context: rewrite the input
+    /// tensor with fresh synthetic contents under a bumped version and
+    /// rewind the layer cursor. Weights stay as initialized; output
+    /// tensors keep their version history and are bumped again as the new
+    /// pass produces them — the steady-state reuse pattern whose replay
+    /// window the version numbers close. The seed and cursor move only
+    /// once the input is written, so a failed start leaves the previous
+    /// pass finished under its own seed.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Version`] if the input version counter is exhausted
+    /// (with recovery enabled, exhaustion is consumed by an epoch sweep
+    /// instead); [`RunError::Poisoned`] if the context is quarantined.
+    pub fn next_inference(&mut self, input_seed: u64) -> Result<(), RunError> {
+        self.guarded(|s| {
+            s.write_input(input_seed)?;
+            s.seed = input_seed;
+            s.cursor = 0;
+            Ok(())
+        })
     }
 
     /// Gather `seq` rows from an embedding table (only the touched blocks
@@ -365,8 +772,7 @@ impl<M: FunctionalMemory> SecureRunner<M> {
             let row = rng.next_below(vocab);
             let start = table_info.addr.offset(row * row_bytes);
             for b in tnpu_sim::blocks_covering(start, row_bytes) {
-                let data = read_with_retry(&self.mem, self.recovery.as_mut(), b.base(), version)?;
-                digest.update(&data);
+                digest.update(&self.verified_read(b.base(), version)?);
                 blocks += 1;
             }
         }
@@ -381,27 +787,22 @@ impl<M: FunctionalMemory> SecureRunner<M> {
     /// replay detected); [`RunError::Finished`] when no layers remain;
     /// [`RunError::Poisoned`] if the context is quarantined.
     pub fn step(&mut self) -> Result<LayerTrace, RunError> {
-        self.guard()?;
-        let r = self.step_inner();
-        self.note(r)
+        self.guarded(|s| s.step_layer())
     }
 
-    fn step_inner(&mut self) -> Result<LayerTrace, RunError> {
-        let li = self.next_layer;
+    fn step_layer(&mut self) -> Result<LayerTrace, RunError> {
+        let li = self.cursor as usize;
         let layer = self.model.layers.get(li).ok_or(RunError::Finished)?.clone();
+        // tnpu-lint: allow(panic-path) — layout slots are per-layer and
+        // `li` came from layers.get above.
+        let (out, weights) = (self.layout.outputs[li], self.layout.weights[li]);
 
         // Pre-flight with recovery enabled: if this layer's output tiles
         // would exhaust their versions mid-layer, sweep *now*. A sweep in
         // the middle of the tile loop would be unsound — half the tensor
         // written under each epoch.
-        if self.recovery.is_some() {
-            // tnpu-lint: allow(panic-path) — `li` came from layers.get above.
-            let out = self.layout.outputs[li];
-            if !self.table.is_expanded(out.id)?
-                && self.table.version(out.id, 0)? >= self.table.limit()
-            {
-                self.epoch_sweep()?;
-            }
+        if self.recovery.is_some() && self.output_would_exhaust(out)? {
+            self.epoch_sweep()?;
         }
         let mut digest = Sha256::new();
         digest.update(layer.name.as_bytes());
@@ -411,50 +812,25 @@ impl<M: FunctionalMemory> SecureRunner<M> {
         match layer.kind {
             LayerKind::Embedding { vocab, dim, seq } => {
                 // tnpu-lint: allow(panic-path) — layout allocation gives
-                // every embedding layer a weight slot; `li` is in range.
-                let table = self.layout.weights[li].expect("embedding table");
+                // every embedding layer a weight slot.
+                let table = weights.expect("embedding table");
                 blocks_read += self.ingest_gathers(&mut digest, table, vocab, dim, seq)?;
             }
             _ => {
                 for src in &layer.inputs {
                     blocks_read += self.ingest_tensor(&mut digest, self.layout.source(*src))?;
                 }
-                // tnpu-lint: allow(panic-path) — `li` came from layers.get.
-                if let Some(w) = self.layout.weights[li] {
+                if let Some(w) = weights {
                     blocks_read += self.ingest_tensor(&mut digest, w)?;
                 }
             }
         }
 
-        // Compute + mvout phase: produce the output tile by tile, with
-        // per-tile version bumps, then merge.
-        // tnpu-lint: allow(panic-path) — `li` came from layers.get above.
-        let out = self.layout.outputs[li];
-        let state = digest.finalize();
-        let tiles = out.bytes.div_ceil(TILE_BYTES).max(1) as u32;
-        self.table.expand(out.id, tiles)?;
-        let mut blocks_written = 0;
-        for tile in 0..tiles {
-            let version = self.table.bump_tile(out.id, tile)?;
-            let tile_base = u64::from(tile) * TILE_BYTES;
-            let tile_len = TILE_BYTES.min(out.bytes - tile_base);
-            let mut rng = seeded_from(&state, tile);
-            let mut off = 0;
-            while off < tile_len {
-                let mut block = [0u8; BLOCK_SIZE];
-                for chunk in block.chunks_exact_mut(8) {
-                    chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-                }
-                self.mem
-                    .write_block(out.addr.offset(tile_base + off), version, block);
-                blocks_written += 1;
-                off += BLOCK_SIZE as u64;
-            }
-        }
-        self.table.merge(out.id)?;
-        self.next_layer += 1;
+        // Compute + mvout phase.
+        let (tiles, blocks_written) = self.produce_output(out, &digest.finalize())?;
+        self.cursor += 1;
         Ok(LayerTrace {
-            name: layer.name.clone(),
+            name: layer.name,
             blocks_read,
             blocks_written,
             tiles,
@@ -465,311 +841,17 @@ impl<M: FunctionalMemory> SecureRunner<M> {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`RunError`].
+    /// Propagates the first [`RunError`]; [`RunError::Poisoned`] if the
+    /// context is quarantined, even with no layers left.
     pub fn run(&mut self) -> Result<Vec<LayerTrace>, RunError> {
-        let mut traces = Vec::new();
-        while !self.is_finished() {
-            traces.push(self.step()?);
-        }
-        Ok(traces)
-    }
-
-    /// Read the final output back on the CPU side (post-processing,
-    /// Fig. 3), verifying it.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Integrity`] if the output fails verification;
-    /// [`RunError::Poisoned`] if the context is quarantined.
-    pub fn read_output(&mut self) -> Result<Vec<u8>, RunError> {
-        self.guard()?;
-        let r = self.read_output_inner();
-        self.note(r)
-    }
-
-    fn read_output_inner(&mut self) -> Result<Vec<u8>, RunError> {
-        // tnpu-lint: allow(panic-path) — Model construction rejects empty
-        // layer lists, so `outputs` is never empty.
-        let last = *self.layout.outputs.last().expect("models have layers");
-        let version = self.table.version(last.id, 0)?;
-        if self.recovery.is_some() {
-            // Recovery-aware read-back: same bytes as the `ts_*` path
-            // (sequential blocks truncated to the tensor length), but each
-            // block fetch gets the retry budget.
-            let blocks = last.bytes.div_ceil(BLOCK_SIZE as u64);
-            let mut out = Vec::with_capacity(last.bytes as usize);
-            for b in 0..blocks {
-                let addr = last.addr.offset(b * BLOCK_SIZE as u64);
-                let data = read_with_retry(&self.mem, self.recovery.as_mut(), addr, version)?;
-                out.extend_from_slice(&data);
+        self.guarded(|s| {
+            let mut traces = Vec::new();
+            while !s.is_finished() {
+                traces.push(s.step_layer()?);
             }
-            out.truncate(last.bytes as usize);
-            return Ok(out);
-        }
-        self.cpu
-            .read_tensor(&self.mem, last.addr, version, last.bytes as usize)
-            .map_err(|e| match e {
-                TsError::Integrity(err) => RunError::Integrity(err),
-                other => RunError::Cpu(other),
-            })
-    }
-
-    /// Every tensor the epoch sweep must preserve: the input, each
-    /// non-shared weight tensor, and every layer output.
-    fn live_tensors(&self) -> Vec<TensorInfo> {
-        let mut out = vec![self.layout.input];
-        for (li, w) in self.layout.weights.iter().enumerate() {
-            if let Some(w) = w {
-                // tnpu-lint: allow(panic-path) — one weight slot per layer.
-                if self.model.layers[li].weights_shared_with.is_none() {
-                    out.push(*w);
-                }
-            }
-        }
-        out.extend(self.layout.outputs.iter().copied());
-        out
-    }
-
-    /// Re-encryption epoch sweep, consumed on version exhaustion
-    /// (`VersionError::Exhausted`): verify and capture every live tensor,
-    /// rotate the memory's keys to a fresh epoch, reset every version to
-    /// 0, and rewrite the captured contents under version 1 of the new
-    /// epoch. Reusing the low version numbers is sound *only* because the
-    /// re-key kills every MAC bound under the old epoch. Never-written
-    /// tensors (version 0) are skipped. Mid-production (tile-expanded)
-    /// tensors — a KV cache mid-sequence stays expanded for the whole
-    /// decode — are preserved tile by tile: each written tile is captured
-    /// under its own version, and after the re-key the entry is
-    /// re-expanded to the same tile count with written tiles rewritten at
-    /// version 1 and never-written tiles left at 0, so the producer sees
-    /// the same expansion shape in the new epoch. With recovery enabled,
-    /// the full DMA + crypto cost of the sweep is charged to
-    /// `sweep_cycles`.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Integrity`] if a live block fails verification even
-    /// after retries (persistent tampering). The failure is reported from
-    /// the capture phase, *before* any key or version mutates.
-    fn epoch_sweep(&mut self) -> Result<(), RunError> {
-        let live = self.live_tensors();
-        epoch_sweep_tensors(
-            &live,
-            &mut self.table,
-            &mut self.mem,
-            self.recovery.as_mut(),
-            &mut self.epoch,
-        )
-    }
-
-    /// Attempt to lift the quarantine after a failure: run an epoch sweep
-    /// to re-establish a consistent state (fresh keys, versions reset,
-    /// all intact tensors re-encrypted; the abandoned inference's partial
-    /// outputs are dropped). On success the context is clean and a new
-    /// inference may start. If the memory still holds state that fails
-    /// verification even after retries — a persistent fault or a real
-    /// attack — the sweep reports it and the context *stays* poisoned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sweep's [`RunError::Integrity`] on persistent
-    /// tampering.
-    pub fn recover(&mut self) -> Result<(), RunError> {
-        self.epoch_sweep()?;
-        self.poisoned = false;
-        // The quarantined inference is abandoned, not resumed.
-        self.next_layer = self.model.layers.len();
-        Ok(())
-    }
-
-    /// Suspend the context at a layer boundary for a context switch:
-    /// capture the epoch-tagged version-table snapshot plus the layer
-    /// cursor and input seed. The tensor data stays in protected DRAM
-    /// (self-authenticating under the versioned MACs); only this snapshot
-    /// leaves the NPU.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Poisoned`] if the context is quarantined — a poisoned
-    /// context must not smuggle its state past the quarantine via a
-    /// suspend/resume cycle.
-    pub fn suspend(&self) -> Result<RunnerSnapshot, RunError> {
-        self.guard()?;
-        Ok(RunnerSnapshot {
-            table: self.table.snapshot(self.epoch),
-            next_layer: self.next_layer,
-            seed: self.seed,
+            Ok(traces)
         })
     }
-
-    /// Resume from a [`suspend`](Self::suspend) snapshot, re-validating
-    /// its epoch tag against the context's current epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Version`] with [`VersionError::StaleSnapshot`] if an
-    /// epoch sweep ran while the context was suspended — restoring
-    /// pre-sweep versions under post-sweep keys is the replay hazard the
-    /// epoch tag closes. The attempt quarantines the context (an attempted
-    /// rollback, whether bug or attack, leaves its scheduling state
-    /// untrustworthy). [`RunError::Poisoned`] if already quarantined.
-    pub fn resume(&mut self, snapshot: &RunnerSnapshot) -> Result<(), RunError> {
-        self.guard()?;
-        let r = self.resume_inner(snapshot);
-        self.note(r)
-    }
-
-    fn resume_inner(&mut self, snapshot: &RunnerSnapshot) -> Result<(), RunError> {
-        self.table.restore(&snapshot.table, self.epoch)?;
-        self.next_layer = snapshot.next_layer;
-        self.seed = snapshot.seed;
-        Ok(())
-    }
-}
-
-/// The shared body of the re-encryption epoch sweep, over an explicit
-/// tensor set — used by [`SecureRunner`] for whole-model sweeps and by the
-/// stepped dynamic-dataflow sessions (`crate::stepped`), whose KV caches
-/// stay tile-expanded across the whole decode.
-///
-/// Capture-verify every live tensor under the current epoch, rotate the
-/// memory keys, reset every version, and rewrite the captured contents at
-/// version 1 of the new epoch. Single-entry tensors at version 0 are
-/// skipped (never written). Tile-expanded tensors keep their expansion
-/// shape: written tiles (version > 0) are captured under their own
-/// versions and rewritten at 1; never-written tiles stay at 0; the tile
-/// count survives, so a mid-sequence producer sees the identical shape in
-/// the new epoch. Tile geometry is [`TILE_BYTES`], matching both the
-/// layer producer and the stepped KV-append path.
-pub(crate) fn epoch_sweep_tensors<M: FunctionalMemory>(
-    tensors: &[TensorInfo],
-    table: &mut VersionTable,
-    mem: &mut M,
-    mut recovery: Option<&mut Recovery>,
-    epoch: &mut u64,
-) -> Result<(), RunError> {
-    let mut saved: Vec<(TensorInfo, Vec<[u8; BLOCK_SIZE]>)> = Vec::new();
-    // (tensor, expansion tile count, written tiles with their blocks)
-    type SavedTile = (u32, Vec<[u8; BLOCK_SIZE]>);
-    let mut saved_expanded: Vec<(TensorInfo, u32, Vec<SavedTile>)> = Vec::new();
-    for &t in tensors {
-        if table.is_expanded(t.id)? {
-            let count = table.tile_count(t.id)?;
-            let mut tiles: Vec<SavedTile> = Vec::new();
-            for tile in 0..count {
-                let tile_base = u64::from(tile) * TILE_BYTES;
-                if tile_base >= t.bytes {
-                    break; // expansion past the allocation holds no data
-                }
-                let version = table.version(t.id, tile)?;
-                if version == 0 {
-                    continue; // never-written tile: nothing to capture
-                }
-                let tile_len = TILE_BYTES.min(t.bytes - tile_base);
-                let blocks = tile_len.div_ceil(BLOCK_SIZE as u64);
-                let mut data = Vec::with_capacity(blocks as usize);
-                for b in 0..blocks {
-                    let addr = t.addr.offset(tile_base + b * BLOCK_SIZE as u64);
-                    let block = read_with_retry(mem, recovery.as_deref_mut(), addr, version)?;
-                    if let Some(rec) = recovery.as_deref_mut() {
-                        rec.charge_sweep_read(addr, version);
-                    }
-                    data.push(block);
-                }
-                tiles.push((tile, data));
-            }
-            saved_expanded.push((t, count, tiles));
-            continue;
-        }
-        let version = table.version(t.id, 0)?;
-        if version == 0 {
-            continue;
-        }
-        let blocks = t.bytes.div_ceil(BLOCK_SIZE as u64);
-        let mut data = Vec::with_capacity(blocks as usize);
-        for b in 0..blocks {
-            let addr = t.addr.offset(b * BLOCK_SIZE as u64);
-            let block = read_with_retry(mem, recovery.as_deref_mut(), addr, version)?;
-            if let Some(rec) = recovery.as_deref_mut() {
-                rec.charge_sweep_read(addr, version);
-            }
-            data.push(block);
-        }
-        saved.push((t, data));
-    }
-    *epoch = epoch.wrapping_add(1);
-    mem.rekey(*epoch);
-    table.reset_epoch();
-    for (t, data) in saved {
-        let version = table.bump(t.id)?; // 0 -> 1 under the new epoch
-        for (b, block) in data.into_iter().enumerate() {
-            let addr = t.addr.offset(b as u64 * BLOCK_SIZE as u64);
-            mem.write_block(addr, version, block);
-            if let Some(rec) = recovery.as_deref_mut() {
-                rec.charge_sweep_write(addr, version);
-            }
-        }
-    }
-    for (t, count, tiles) in saved_expanded {
-        // reset_epoch collapsed the entry to Single(0); restore the
-        // expansion shape, then rewrite each written tile at 1.
-        table.expand(t.id, count)?;
-        for (tile, data) in tiles {
-            let version = table.bump_tile(t.id, tile)?; // 0 -> 1
-            let tile_base = u64::from(tile) * TILE_BYTES;
-            for (b, block) in data.into_iter().enumerate() {
-                let addr = t.addr.offset(tile_base + b as u64 * BLOCK_SIZE as u64);
-                mem.write_block(addr, version, block);
-                if let Some(rec) = recovery.as_deref_mut() {
-                    rec.charge_sweep_write(addr, version);
-                }
-            }
-        }
-    }
-    if let Some(rec) = recovery {
-        rec.note_sweep();
-    }
-    Ok(())
-}
-
-/// One verified read with the recovery retry budget. Without recovery
-/// this is exactly `mem.read_block` — the first result, pass or fail.
-/// With recovery, errors whose cause a re-fetch can plausibly clear (a
-/// stalled transfer, a content-cause MAC mismatch from transient bus
-/// corruption, a glitched counter fetch) are retried up to the budget,
-/// each attempt charged real cycles. Version- and address-cause
-/// mismatches are *semantic* — replayed or relocated ciphertext that
-/// re-reading the same state cannot fix — and escalate immediately, so
-/// retries never launder a replay into a recovery.
-pub(crate) fn read_with_retry<M: FunctionalMemory>(
-    mem: &M,
-    recovery: Option<&mut Recovery>,
-    addr: Addr,
-    version: u64,
-) -> Result<[u8; BLOCK_SIZE], IntegrityError> {
-    let first = mem.read_block(addr, version);
-    let Some(rec) = recovery else {
-        return first;
-    };
-    let mut last = match first {
-        Ok(data) => return Ok(data),
-        Err(e) => e,
-    };
-    for attempt in 0..rec.policy.max_retries {
-        if !retryable(&last) {
-            break;
-        }
-        rec.charge_retry(addr, version, attempt);
-        match mem.read_block(addr, version) {
-            Ok(data) => {
-                rec.note_recovered();
-                return Ok(data);
-            }
-            Err(e) => last = e,
-        }
-    }
-    rec.note_escalated();
-    Err(last)
 }
 
 /// Whether a re-fetch has any chance of clearing this error.
@@ -785,11 +867,11 @@ fn retryable(e: &IntegrityError) -> bool {
     }
 }
 
-/// Whether [`SecureRunner::recover`]'s re-encryption epoch sweep can lift
-/// the failure that quarantined a context.
+/// Whether [`Session::recover`]'s re-encryption epoch sweep can lift the
+/// failure that quarantined a context.
 ///
-/// Integrity failures are sweep-clearable (re-verify, re-key, drop the
-/// abandoned inference), as are the version states a sweep resets —
+/// Integrity failures are sweep-clearable (re-verify, re-key, retry the
+/// quarantined step), as are the version states a sweep resets —
 /// exhaustion and a raced stale snapshot. Version-management *misuse* and
 /// CPU access errors indicate runner bugs: sweeping would mask the defect,
 /// so callers should leave the quarantine in place and surface the error.
@@ -814,7 +896,14 @@ pub fn sweep_clearable(e: &RunError) -> bool {
 
 /// Deterministic synthetic tensor contents.
 pub(crate) fn synth_bytes(seed: u64, tensor: u32, len: u64) -> Vec<u8> {
-    let mut rng = SplitMix64::new(seed.wrapping_add(u64::from(tensor) << 32));
+    rng_bytes(
+        SplitMix64::new(seed.wrapping_add(u64::from(tensor) << 32)),
+        len,
+    )
+}
+
+/// `len` bytes drawn from `rng`, eight at a time.
+pub(crate) fn rng_bytes(mut rng: SplitMix64, len: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(len as usize);
     while (out.len() as u64) < len {
         out.extend_from_slice(&rng.next_u64().to_le_bytes());
@@ -823,16 +912,17 @@ pub(crate) fn synth_bytes(seed: u64, tensor: u32, len: u64) -> Vec<u8> {
     out
 }
 
-pub(crate) fn seeded_from(state: &[u8; 32], tile: u32) -> SplitMix64 {
+/// The first eight digest bytes as a little-endian RNG seed.
+pub(crate) fn state_seed(state: &[u8; 32]) -> u64 {
     let mut seed = [0u8; 8];
     // tnpu-lint: allow(panic-path) — `[..8]` of a `[u8; 32]` parameter.
     seed.copy_from_slice(&state[..8]);
-    SplitMix64::new(u64::from_le_bytes(seed) ^ u64::from(tile))
+    u64::from_le_bytes(seed)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepped::SteppedSession;
     use tnpu_models::registry;
 
     fn runner(name: &str) -> SecureRunner {
@@ -1169,12 +1259,96 @@ mod tests {
         fresh.run().expect("ok");
         assert_eq!(healed, fresh.read_output().expect("ok"));
     }
+
+    // ---- the one recovery rule: recover() keeps the cursor ----
+
+    #[test]
+    fn recover_retries_the_quarantined_layer() {
+        // A fault that clears before recovery: the sweep re-keys intact
+        // state and the layer that failed is retried, so the same pass
+        // finishes with the clean output.
+        let mut clean = runner("df");
+        clean.run().expect("ok");
+        let want = clean.read_output().expect("ok");
+
+        let mut r = runner("df");
+        r.step().expect("layer 0 clean");
+        let victim = r.layout().outputs[0].addr;
+        r.memory_mut()
+            .dram_mut()
+            .block_mut(victim)
+            .expect("written")[5] ^= 0x10;
+        assert!(matches!(r.step(), Err(RunError::Integrity(_))));
+        r.memory_mut()
+            .dram_mut()
+            .block_mut(victim)
+            .expect("written")[5] ^= 0x10;
+        r.recover().expect("sweep over intact state");
+        assert!(!r.is_finished(), "the quarantined layer is still ahead");
+        r.run().expect("the same pass finishes");
+        assert_eq!(r.read_output().expect("verifies"), want);
+    }
+
+    #[test]
+    fn failed_next_inference_keeps_the_finished_pass() {
+        let model = registry::model("df").expect("registered");
+        let mut r = SecureRunner::new(&model, Key128::derive(b"runner"), 7);
+        r.set_version_limit(2);
+        r.run().expect("pass 1 fits");
+        r.next_inference(1).expect("input version 2 fits");
+        r.run().expect("pass 2 fits");
+        let pass2 = r.read_output().expect("ok");
+        assert!(matches!(
+            r.next_inference(2),
+            Err(RunError::Version(VersionError::Exhausted(_)))
+        ));
+        r.recover().expect("sweep over intact state");
+        // The failed start moved nothing: pass 2 stays finished, under
+        // its own seed, with its output intact.
+        assert!(r.is_finished());
+        assert_eq!(r.seed, 1);
+        assert_eq!(r.read_output().expect("verifies"), pass2);
+        // The next start computes what a fresh context computes.
+        r.next_inference(2).expect("the sweep made room");
+        r.run().expect("pass 3");
+        let mut fresh = SecureRunner::new(&model, Key128::derive(b"runner"), 7);
+        fresh.run().expect("ok");
+        fresh.next_inference(2).expect("ok");
+        fresh.run().expect("ok");
+        assert_eq!(
+            r.read_output().expect("ok"),
+            fresh.read_output().expect("ok")
+        );
+    }
+
+    #[test]
+    fn zero_version_limit_is_raised_to_one() {
+        // Version 0 means "never written", so 1 is the smallest limit
+        // under which a tensor can be written at all.
+        let model = registry::model("df").expect("registered");
+        let mut r = SecureRunner::new(&model, Key128::derive(b"runner"), 7);
+        r.set_version_limit(0);
+        assert_eq!(r.version_table().limit(), 1);
+        r.run().expect("one pass writes each tensor once");
+        r.read_output().expect("verifies");
+
+        let model = registry::model("decode").expect("registered");
+        let mut s = SteppedSession::new(&model, Key128::derive(b"stepped"), 3);
+        s.set_version_limit(0);
+        assert_eq!(s.version_table().limit(), 1);
+        s.step().expect("the first step writes each tensor once");
+        assert!(matches!(
+            s.step(),
+            Err(RunError::Version(VersionError::Exhausted(_)))
+        ));
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use crate::recovery::RetryPolicy;
+    use crate::stepped::SteppedSession;
     use proptest::prelude::*;
     use tnpu_memprot::faults::{FaultKind, FaultyMemory};
     use tnpu_memprot::functional::UnsecureMemory;
@@ -1411,6 +1585,105 @@ mod proptests {
             prop_assert!(r.epoch() >= 1);
             let after = capture(&r);
             prop_assert_eq!(before, after, "plaintext must survive the re-key");
+        }
+    }
+
+    /// Drive `s` through a sequence of public calls, each an op code with
+    /// an argument, and check that no call panics and the poison rule:
+    /// after an error from any call but `recover`, other than `Finished`,
+    /// every fallible call except `recover` returns `Poisoned` until a
+    /// `recover` succeeds. `program` runs op codes 0 and 1: the program's
+    /// own calls (`step`, `run`, `next_inference`).
+    fn check_call_sequence<P>(
+        s: &mut Session<TreelessMemory, P>,
+        foreign: &SessionSnapshot,
+        calls: &[(u8, u64)],
+        program: impl Fn(&mut Session<TreelessMemory, P>, u64) -> Result<(), RunError>,
+    ) {
+        let stale = s.suspend().expect("a fresh context suspends");
+        let mut own = stale.clone();
+        let mut quarantined = false;
+        for &(op, arg) in calls {
+            let r = match op {
+                0 | 1 => program(s, arg),
+                2 => s.read_output().map(drop),
+                3 => s.suspend().map(|snap| own = snap),
+                4 => s.resume(&own),
+                5 => s.resume(&stale),
+                6 => s.resume(foreign),
+                7 | 8 => {
+                    if s.recover().is_ok() {
+                        quarantined = false;
+                    }
+                    assert_eq!(s.is_poisoned(), quarantined, "after recover");
+                    continue;
+                }
+                9 => {
+                    s.set_version_limit(arg % 4);
+                    continue;
+                }
+                10 => {
+                    s.enable_recovery(RetryPolicy::default(), treeless_engine());
+                    continue;
+                }
+                _ => {
+                    let live = s.live_tensors();
+                    let t = live[(arg % live.len() as u64) as usize];
+                    let blocks = t.bytes.div_ceil(BLOCK_SIZE as u64).max(1);
+                    let addr = t.addr.offset((arg >> 8) % blocks * BLOCK_SIZE as u64);
+                    s.memory_mut()
+                        .tamper_bits(addr, &[(arg >> 32) as u16 % 512]);
+                    continue;
+                }
+            };
+            if quarantined {
+                assert_eq!(r, Err(RunError::Poisoned), "op {op} ran while quarantined");
+            } else if let Err(e) = r {
+                assert_ne!(e, RunError::Poisoned, "op {op} refused a clean context");
+                quarantined = e != RunError::Finished;
+            }
+            assert_eq!(s.is_poisoned(), quarantined, "after op {op}");
+        }
+    }
+
+    fn calls(max: usize) -> impl Strategy<Value = Vec<(u8, u64)>> {
+        prop::collection::vec((0u8..12, any::<u64>()), 1..max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The public-call-sequence property on the static program.
+        #[test]
+        fn inference_call_sequences_keep_the_poison_rule(seq in calls(30), seed in any::<u64>()) {
+            let other = ModelBuilder::new("other", "Other", (2, 4, 4)).fc("fc", 8).build();
+            let foreign = SecureRunner::new(&other, Key128::derive(b"pt-foreign"), seed)
+                .suspend()
+                .expect("fresh");
+            let mut s = SecureRunner::new(&tiny(), Key128::derive(b"pt-calls"), seed);
+            check_call_sequence(&mut s, &foreign, &seq, |s, arg| match arg % 3 {
+                0 => s.step().map(drop),
+                1 => s.run().map(drop),
+                _ => s.next_inference(arg),
+            });
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// The same property on the decode and train programs (few, short
+        /// sequences: every stepped call moves real KV and weight bytes).
+        #[test]
+        fn stepped_call_sequences_keep_the_poison_rule(seq in calls(10), seed in any::<u64>()) {
+            let foreign = SecureRunner::new(&tiny(), Key128::derive(b"pt-foreign"), seed)
+                .suspend()
+                .expect("fresh");
+            for name in ["decode", "train"] {
+                let model = tnpu_models::registry::model(name).expect("registered");
+                let mut s = SteppedSession::new(&model, Key128::derive(b"pt-calls"), seed);
+                check_call_sequence(&mut s, &foreign, &seq, |s, _| s.step().map(drop));
+            }
         }
     }
 }

@@ -16,8 +16,7 @@
 //! * **Scheduling** — FCFS and priority-preemptive policies over an
 //!   NPU pool. Preemption happens only at layer boundaries: a layer's
 //!   tile loop is not interruptible (suspending mid-layer would leave a
-//!   tensor half-bumped, exactly the state
-//!   [`SecureRunner`](crate::secure_runner::SecureRunner) refuses to
+//!   tensor half-bumped, exactly the state [`SecureRunner`] refuses to
 //!   expose).
 //! * **Context-switch accounting** — suspending a secure context is not
 //!   free. A switch-out saves the software [`VersionTable`] (one
@@ -52,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::secure_runner::{RunnerSnapshot, SecureRunner};
+use crate::secure_runner::{register_tensors, SecureRunner, SessionSnapshot};
 use crate::version::ENTRY_BYTES;
 use crate::{RunSpec, Scheme, VersionTable};
 use tnpu_crypto::Key128;
@@ -433,27 +432,21 @@ fn model_data_uncached(
         .0;
     let model = registry::model(name).unwrap_or_else(|| panic!("model {name:?} not registered"));
     let layout = ModelLayout::allocate(&model, Addr(0));
-    // Mirrors SecureRunner::with_memory registration: the input, every
-    // non-shared weight tensor, and every layer output get a table entry.
-    let mut tensors = 1 + layout.outputs.len() as u64;
-    for (li, w) in layout.weights.iter().enumerate() {
-        if w.is_some() && model.layers[li].weights_shared_with.is_none() {
-            tensors += 1;
-        }
-    }
     ModelData {
         durations,
         unsecure_total,
-        vt_bytes: tensors * ENTRY_BYTES,
+        // A fresh context's table, exactly as the static session registers it.
+        vt_bytes: register_tensors(&model, &layout, false).0.storage_bytes(),
         data_blocks: layout.total_bytes.div_ceil(BLOCK_SIZE as u64).max(1),
     }
 }
 
 /// Charges context-switch traffic through the cell's protection engine.
 ///
-/// Crate-visible so the stepped decode/train sessions
-/// ([`crate::stepped`]) bill their mid-sequence preemptions through the
-/// exact same cost model as the serving plane.
+/// Crate-visible so sessions
+/// ([`Session::preemption_cycles`](crate::secure_runner::Session::preemption_cycles))
+/// bill their mid-sequence preemptions through the exact same cost model
+/// as the serving plane.
 pub(crate) struct Switcher {
     scheme: Scheme,
     engine: Box<dyn ProtectionEngine>,
@@ -483,7 +476,7 @@ impl Switcher {
     /// `vt_bytes` must be the *live* table size — a tensor that is
     /// tile-expanded at switch time (a decode session's KV cache
     /// mid-sequence) spills one entry per tile, not one per tensor.
-    /// Callers with a running [`SecureRunner`] or a [`RunnerSnapshot`]
+    /// Callers with a running [`SecureRunner`] or a [`SessionSnapshot`]
     /// take the size from there; the modeled (non-functional) path may
     /// use the static per-tensor count only because static models are
     /// fully merged at every layer boundary.
@@ -548,7 +541,7 @@ struct Ctx {
     start: Option<u64>,
     preemptions: u32,
     runner: Option<SecureRunner<Box<dyn FunctionalMemory>>>,
-    snapshot: Option<RunnerSnapshot>,
+    snapshot: Option<SessionSnapshot>,
     reference: Option<Vec<u8>>,
 }
 
@@ -773,7 +766,7 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                         let vt_bytes = ctx
                             .snapshot
                             .as_ref()
-                            .map_or(md.vt_bytes, RunnerSnapshot::table_bytes);
+                            .map_or(md.vt_bytes, SessionSnapshot::table_bytes);
                         let out_cycles = switcher.charge(vt_bytes, true);
                         push(&mut events, &mut seq, now + out_cycles, Event::NpuFree(npu));
                     } else {
@@ -806,7 +799,7 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
             let vt_bytes = ctx
                 .snapshot
                 .as_ref()
-                .map_or(md.vt_bytes, RunnerSnapshot::table_bytes);
+                .map_or(md.vt_bytes, SessionSnapshot::table_bytes);
             let in_cycles = switcher.charge(vt_bytes, false);
             dispatches += 1;
             if let Some(snapshot) = ctx.snapshot.take() {
@@ -854,13 +847,7 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
 pub fn spill_bytes(model: &str) -> u64 {
     let m = registry::model(model).unwrap_or_else(|| panic!("model {model:?} not registered"));
     let layout = ModelLayout::allocate(&m, Addr(0));
-    let mut tensors = 1 + layout.outputs.len() as u64;
-    for (li, w) in layout.weights.iter().enumerate() {
-        if w.is_some() && m.layers[li].weights_shared_with.is_none() {
-            tensors += 1;
-        }
-    }
-    tensors * ENTRY_BYTES
+    register_tensors(&m, &layout, false).0.storage_bytes()
 }
 
 // Referenced by the module docs.

@@ -1,11 +1,13 @@
-//! Stepped dynamic-dataflow sessions: autoregressive decode with a
+//! Stepped dynamic-dataflow programs: autoregressive decode with a
 //! growing KV cache, and training loops that rewrite every weight each
 //! iteration.
 //!
-//! The static [`crate::secure_runner`] writes each tensor exactly once per
-//! inference — the assumption the tree-less scheme's one-version-per-tensor
-//! design rests on (§III-A). This module drives the two workloads that
-//! break it:
+//! The static [`Inference`](crate::secure_runner::Inference) program writes
+//! each tensor exactly once per inference — the assumption the tree-less
+//! scheme's one-version-per-tensor design rests on (§III-A). This module's
+//! [`Stepped`] program drives the two workloads that break it, on the same
+//! [`Session`] lifecycle (version table, poisoning, recovery, epoch sweeps,
+//! suspend/resume):
 //!
 //! * **Decode** (`decode` in the model registry): every step ingests one
 //!   token, verifies the entire written KV prefix under its per-tile
@@ -30,29 +32,26 @@
 //! logits/loss out. Cycle costs of the full per-layer tile traffic come
 //! from the lowered trace (`tnpu_npu::trace::TileTrace::build_steps`),
 //! not from this functional model.
+//!
+//! [`VersionTable::expand`]: crate::version::VersionTable::expand
 
-use crate::cpu_access::CpuTensorAccess;
-use crate::recovery::{Recovery, RecoveryStats, RetryPolicy};
-use crate::secure_runner::{
-    epoch_sweep_tensors, read_with_retry, seeded_from, synth_bytes, RunError, TILE_BYTES,
-};
-use crate::serving::Switcher;
-use crate::version::{VersionError, VersionSnapshot, VersionTable};
+use crate::secure_runner::{rng_bytes, state_seed, RunError, Session, TILE_BYTES};
 use tnpu_crypto::sha256::Sha256;
 use tnpu_crypto::Key128;
 use tnpu_memprot::functional::{FunctionalMemory, TreelessMemory};
-use tnpu_memprot::ProtectionEngine;
-use tnpu_models::defs::dynamic::{CACHE_MARKER, DECODE_DIM};
+use tnpu_models::defs::dynamic::DECODE_DIM;
 use tnpu_models::{Model, ELEM_BYTES};
-use tnpu_npu::alloc::{ModelLayout, TensorInfo};
-use tnpu_npu::config::NpuConfig;
+use tnpu_npu::alloc::TensorInfo;
 use tnpu_sim::rng::SplitMix64;
-use tnpu_sim::{Addr, BLOCK_SIZE};
+use tnpu_sim::BLOCK_SIZE;
+
+/// Bytes one decode step appends to each cache (one token's K or V).
+const APPEND_BYTES: u64 = DECODE_DIM * ELEM_BYTES;
 
 /// Which dynamic-dataflow shape a session is driving, derived from the
 /// model: any cache-marked weight tensor (see
-/// [`CACHE_MARKER`]) makes it a decode session, otherwise every step is a
-/// training iteration.
+/// [`CACHE_MARKER`](tnpu_models::defs::dynamic::CACHE_MARKER)) makes it a
+/// decode session, otherwise every step is a training iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteppedKind {
     /// Autoregressive decode: KV caches append-grow, weights stay put.
@@ -76,69 +75,21 @@ pub struct StepTrace {
     pub swept: bool,
 }
 
-/// The architectural state a preempted stepped context saves through the
-/// fully-protected region: the epoch-tagged version-table snapshot — whose
-/// size now *grows with the sequence* as caches expand — plus the step
-/// cursor, session seed, and the weight digest the decode path folds into
-/// every step. Produced by [`SteppedSession::suspend`], consumed by
-/// [`SteppedSession::resume`].
-#[derive(Debug, Clone)]
-pub struct SteppedSnapshot {
-    table: VersionSnapshot,
-    step: u64,
-    seed: u64,
-    weight_state: [u8; 32],
-}
-
-impl SteppedSnapshot {
-    /// The re-encryption epoch the snapshot was taken in.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.table.epoch()
-    }
-
-    /// Version-table bytes the snapshot carries — the DMA payload a
-    /// context switch moves, which mid-sequence includes one entry per
-    /// expanded cache tile (what [`Switcher::charge`] bills).
-    #[must_use]
-    pub fn table_bytes(&self) -> u64 {
-        self.table.bytes()
-    }
-}
-
-/// A functional stepped session for one NPU context.
-///
-/// Generic over the [`FunctionalMemory`] like [`crate::secure_runner`]:
-/// the default is the paper's tree-less scheme, and the
-/// observation-equivalence tests instantiate it over every scheme.
-#[derive(Debug)]
-pub struct SteppedSession<M: FunctionalMemory = TreelessMemory> {
-    model: Model,
-    layout: ModelLayout,
-    table: VersionTable,
-    mem: M,
-    cpu: CpuTensorAccess,
-    kind: SteppedKind,
-    /// Cache tensors (decode): weight slots of cache-marked layers.
-    caches: Vec<TensorInfo>,
-    /// Trained weight tensors: non-shared, non-cache weight slots.
-    weights: Vec<TensorInfo>,
-    /// Bytes one decode step appends to each cache (one token's K or V).
-    append_bytes: u64,
-    /// Steps the smallest cache can absorb (decode); unbounded for train.
-    capacity: u64,
+/// The decode/train step program: each step is one decoded token or one
+/// training iteration, and cache-marked weights are KV caches built up
+/// append by append.
+#[derive(Debug, Clone, Copy)]
+pub struct Stepped {
     /// Digest of the weight plaintexts the enclave itself initialized;
     /// folded into each decode step's digest in place of re-reading the
     /// weight-stationary parameters from DRAM every token.
     weight_state: [u8; 32],
-    step: u64,
-    seed: u64,
-    recovery: Option<Recovery>,
-    epoch: u64,
-    poisoned: bool,
 }
 
-impl SteppedSession<TreelessMemory> {
+/// A session running the [`Stepped`] decode/train program.
+pub type SteppedSession<M = TreelessMemory> = Session<M, Stepped>;
+
+impl Session<TreelessMemory, Stepped> {
     /// Set up a tree-less stepped context with keys from `master_key`.
     #[must_use]
     pub fn new(model: &Model, master_key: Key128, seed: u64) -> Self {
@@ -146,117 +97,41 @@ impl SteppedSession<TreelessMemory> {
     }
 }
 
-impl<M: FunctionalMemory> SteppedSession<M> {
+impl<M: FunctionalMemory> Session<M, Stepped> {
     /// Set up the context over an existing memory: allocate tensors,
     /// register them, initialize the trained weights through the CPU
     /// `ts_write` path, and leave the caches *unwritten* at version 0 —
     /// their state is built up append by append.
     #[must_use]
-    pub fn with_memory(model: &Model, mut mem: M, seed: u64) -> Self {
-        let layout = ModelLayout::allocate(model, Addr(0));
-        let mut table = VersionTable::new();
-        let mut cpu = CpuTensorAccess::new();
-
-        table.register(layout.input.id);
-
-        let mut caches = Vec::new();
-        let mut weights = Vec::new();
+    pub fn with_memory(model: &Model, mem: M, seed: u64) -> Self {
+        let program = Stepped {
+            weight_state: [0; 32],
+        };
+        let mut s = Session::alloc(model, mem, seed, true, program);
         let mut digest = Sha256::new();
         digest.update(b"weight-state");
-        // ModelLayout::allocate builds one weights/outputs slot per model
-        // layer, so `li` always indexes both in the loop below.
-        for li in 0..model.layers.len() {
-            if let Some(w) = layout.weights[li] {
-                let layer = &model.layers[li];
-                // Shared slots reuse the owner's entry; everything else
-                // registers here. The guard must not skip the *output*
-                // registration below — a layer with tied weights still
-                // owns its output tensor.
-                if layer.weights_shared_with.is_none() {
-                    table.register(w.id);
-                    if layer.name.contains(CACHE_MARKER) {
-                        caches.push(w); // stays at version 0 until appended
-                    } else {
-                        let v = table.bump(w.id).expect("registered");
-                        let bytes = synth_bytes(seed, w.id, w.bytes);
-                        digest.update(&bytes);
-                        cpu.write_tensor(&mut mem, w.addr, v, &bytes);
-                        weights.push(w);
-                    }
-                }
-            }
-            table.register(layout.outputs[li].id);
-        }
-        let kind = if caches.is_empty() {
-            SteppedKind::Train
-        } else {
-            SteppedKind::Decode
-        };
-        let append_bytes = DECODE_DIM * ELEM_BYTES;
-        let capacity = match kind {
-            SteppedKind::Train => u64::MAX,
-            SteppedKind::Decode => caches
-                .iter()
-                .map(|c| c.bytes / append_bytes)
-                .min()
-                .unwrap_or(0),
-        };
-        SteppedSession {
-            model: model.clone(),
-            layout,
-            table,
-            mem,
-            cpu,
-            kind,
-            caches,
-            weights,
-            append_bytes,
-            capacity,
-            weight_state: digest.finalize(),
-            step: 0,
-            seed,
-            recovery: None,
-            epoch: 0,
-            poisoned: false,
-        }
-    }
-
-    /// Attach fault recovery (see
-    /// [`SecureRunner::enable_recovery`](crate::secure_runner::SecureRunner::enable_recovery)):
-    /// transient read failures get the retry budget, and version
-    /// exhaustion is consumed by an epoch sweep instead of aborting —
-    /// which for these workloads is the *normal* operating mode, since
-    /// churn makes exhaustion a matter of when, not if.
-    pub fn enable_recovery(&mut self, policy: RetryPolicy, engine: Box<dyn ProtectionEngine>) {
-        self.recovery = Some(Recovery::new(policy, engine));
-    }
-
-    /// What recovery has cost so far (`None` until
-    /// [`enable_recovery`](Self::enable_recovery)).
-    #[must_use]
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.recovery.as_ref().map(Recovery::stats)
-    }
-
-    /// Lower the version-exhaustion threshold. Meaningful recovery needs
-    /// a limit of at least 2 (the sweep itself rewrites at version 1),
-    /// and a decode step bumps its frontier cache tile from a value that
-    /// only grows over the sequence — the expand-grow rule seeds new
-    /// tiles at the current maximum so stale versions are never reused.
-    pub fn set_version_limit(&mut self, limit: u64) {
-        self.table.set_limit(limit);
+        s.init_weights(|bytes| digest.update(bytes));
+        s.program.weight_state = digest.finalize();
+        // Decode steps until the smallest cache is full; train is unbounded.
+        let per_cache = s.caches.iter().map(|c| c.bytes / APPEND_BYTES);
+        s.capacity = per_cache.min().unwrap_or(u64::MAX);
+        s
     }
 
     /// Which dynamic-dataflow shape this session drives.
     #[must_use]
     pub fn kind(&self) -> SteppedKind {
-        self.kind
+        if self.caches.is_empty() {
+            SteppedKind::Train
+        } else {
+            SteppedKind::Decode
+        }
     }
 
     /// Steps taken so far.
     #[must_use]
     pub fn steps_taken(&self) -> u64 {
-        self.step
+        self.cursor
     }
 
     /// Steps the session can absorb: the KV capacity for decode
@@ -264,118 +139,6 @@ impl<M: FunctionalMemory> SteppedSession<M> {
     #[must_use]
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Current re-encryption epoch (0 until the first sweep).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether an earlier failure has quarantined this context.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// The version table (inspection).
-    #[must_use]
-    pub fn version_table(&self) -> &VersionTable {
-        &self.table
-    }
-
-    /// The model this session steps.
-    #[must_use]
-    pub fn model(&self) -> &Model {
-        &self.model
-    }
-
-    /// The address map.
-    #[must_use]
-    pub fn layout(&self) -> &ModelLayout {
-        &self.layout
-    }
-
-    /// The untrusted protected memory, read-only.
-    #[must_use]
-    pub fn memory(&self) -> &M {
-        &self.mem
-    }
-
-    /// The untrusted protected memory — the attack hook for tests.
-    pub fn memory_mut(&mut self) -> &mut M {
-        &mut self.mem
-    }
-
-    /// Cycles a preemption of this context costs *right now* — one spill
-    /// plus one restore of the live version table through the serving
-    /// layer's context-switch cost model. Mid-sequence the table carries
-    /// one entry per expanded cache tile, so the price of preempting a
-    /// decode session grows with its position in the sequence (the
-    /// under-billing the static per-model estimate used to hide).
-    #[must_use]
-    pub fn preemption_cycles(&self, config: &NpuConfig) -> u64 {
-        let mut switcher = Switcher::new(self.mem.scheme(), config);
-        let vt_bytes = self.table.storage_bytes();
-        switcher.charge(vt_bytes, true) + switcher.charge(vt_bytes, false)
-    }
-
-    fn guard(&self) -> Result<(), RunError> {
-        if self.poisoned {
-            Err(RunError::Poisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Record the outcome of a fallible call: any error except
-    /// [`RunError::Finished`] quarantines the context.
-    fn note<T>(&mut self, r: Result<T, RunError>) -> Result<T, RunError> {
-        if let Err(e) = &r {
-            if !matches!(e, RunError::Finished) {
-                self.poisoned = true;
-            }
-        }
-        r
-    }
-
-    /// Every tensor the epoch sweep must preserve: input, trained
-    /// weights, caches (tile by tile), and every output slot.
-    fn sweep_set(&self) -> Vec<TensorInfo> {
-        let mut out = vec![self.layout.input];
-        out.extend(self.weights.iter().copied());
-        out.extend(self.caches.iter().copied());
-        out.extend(self.layout.outputs.iter().copied());
-        out
-    }
-
-    fn epoch_sweep(&mut self) -> Result<(), RunError> {
-        let live = self.sweep_set();
-        epoch_sweep_tensors(
-            &live,
-            &mut self.table,
-            &mut self.mem,
-            self.recovery.as_mut(),
-            &mut self.epoch,
-        )
-    }
-
-    /// Attempt to lift the quarantine after a failure (see
-    /// [`SecureRunner::recover`](crate::secure_runner::SecureRunner::recover)).
-    /// Unlike the static runner, the step cursor survives: every write
-    /// in a step covers a whole tensor or tile under one version, so
-    /// whatever the failure interrupted, the sweep re-captures a
-    /// uniformly consistent state — mid-sequence KV expansion included —
-    /// and the quarantined step is simply retried in the new epoch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sweep's [`RunError::Integrity`] on persistent
-    /// tampering (the context stays poisoned).
-    pub fn recover(&mut self) -> Result<(), RunError> {
-        self.epoch_sweep()?;
-        self.poisoned = false;
-        Ok(())
     }
 
     /// The version a decode step's append would bump each cache's
@@ -387,7 +150,7 @@ impl<M: FunctionalMemory> SteppedSession<M> {
             return Ok(1);
         }
         let count = self.table.tile_count(cache.id)?;
-        let frontier = ((self.step * self.append_bytes) / TILE_BYTES) as u32;
+        let frontier = ((self.cursor * APPEND_BYTES) / TILE_BYTES) as u32;
         if frontier < count {
             return Ok(self.table.version(cache.id, frontier)? + 1);
         }
@@ -408,52 +171,19 @@ impl<M: FunctionalMemory> SteppedSession<M> {
         }
         let limit = self.table.limit();
         let mut would_exhaust = self.table.version(self.layout.input.id, 0)? >= limit;
-        // tnpu-lint: allow(panic-path) — models have at least one layer.
-        let out = *self.layout.outputs.last().expect("models have layers");
-        would_exhaust |=
-            !self.table.is_expanded(out.id)? && self.table.version(out.id, 0)? >= limit;
-        if self.kind == SteppedKind::Train {
-            for w in self.weights.clone() {
+        would_exhaust |= self.output_would_exhaust(self.output())?;
+        if self.kind() == SteppedKind::Train {
+            for w in &self.weights {
                 would_exhaust |= self.table.version(w.id, 0)? >= limit;
             }
         }
-        for c in self.caches.clone() {
+        for &c in &self.caches {
             would_exhaust |= self.next_frontier_version(c)? > limit;
         }
         if would_exhaust {
             self.epoch_sweep()?;
-            return Ok(true);
         }
-        Ok(false)
-    }
-
-    /// Bump a single-entry tensor, consuming exhaustion with a sweep when
-    /// recovery is enabled (the reactive path behind the pre-flight).
-    fn bump_or_sweep(&mut self, id: u32, swept: &mut bool) -> Result<u64, RunError> {
-        match self.table.bump(id) {
-            Err(VersionError::Exhausted(_)) if self.recovery.is_some() => {
-                self.epoch_sweep()?;
-                *swept = true;
-                Ok(self.table.bump(id)?)
-            }
-            r => Ok(r?),
-        }
-    }
-
-    /// Verify + read one whole tensor under its current version.
-    fn ingest_tensor(&mut self, digest: &mut Sha256, info: TensorInfo) -> Result<u64, RunError> {
-        let version = self.table.version(info.id, 0)?;
-        let blocks = info.bytes.div_ceil(BLOCK_SIZE as u64);
-        for b in 0..blocks {
-            let data = read_with_retry(
-                &self.mem,
-                self.recovery.as_mut(),
-                info.addr.offset(b * BLOCK_SIZE as u64),
-                version,
-            )?;
-            digest.update(&data);
-        }
-        Ok(blocks)
+        Ok(would_exhaust)
     }
 
     /// Verify + read every written tile of a cache under its tile
@@ -485,7 +215,7 @@ impl<M: FunctionalMemory> SteppedSession<M> {
             let mut data = Vec::with_capacity((blocks as usize) * BLOCK_SIZE);
             for b in 0..blocks {
                 let addr = cache.addr.offset(tile_base + b * BLOCK_SIZE as u64);
-                let block = read_with_retry(&self.mem, self.recovery.as_mut(), addr, version)?;
+                let block = self.verified_read(addr, version)?;
                 digest.update(&block);
                 data.extend_from_slice(&block);
                 *blocks_read += 1;
@@ -509,7 +239,7 @@ impl<M: FunctionalMemory> SteppedSession<M> {
         prior: Option<Vec<u8>>,
         blocks_written: &mut u64,
     ) -> Result<bool, RunError> {
-        let off = self.step * self.append_bytes;
+        let off = self.cursor * APPEND_BYTES;
         let frontier = (off / TILE_BYTES) as u32;
         let needed = frontier + 1;
         let grew = if !self.table.is_expanded(cache.id)? {
@@ -530,7 +260,7 @@ impl<M: FunctionalMemory> SteppedSession<M> {
         bytes.resize(tile_len as usize, 0);
         let local = (off - tile_base) as usize;
         let mut rng = SplitMix64::new(state_seed(state) ^ (u64::from(cache.id) << 32) ^ off);
-        let end = (local + self.append_bytes as usize).min(bytes.len());
+        let end = (local + APPEND_BYTES as usize).min(bytes.len());
         // tnpu-lint: allow(panic-path) — local < end <= bytes.len(): the
         // frontier offset lies inside the tile buffer sized just above.
         for chunk in bytes[local..end].chunks_mut(8) {
@@ -553,36 +283,6 @@ impl<M: FunctionalMemory> SteppedSession<M> {
         Ok(grew)
     }
 
-    /// Produce the session's output tensor (the last layer's slot) from
-    /// the step digest — expand, per-tile bump, write, merge, exactly the
-    /// static runner's mvout discipline.
-    fn produce_output(&mut self, state: &[u8; 32]) -> Result<u64, RunError> {
-        // tnpu-lint: allow(panic-path) — models have at least one layer.
-        let out = *self.layout.outputs.last().expect("models have layers");
-        let tiles = out.bytes.div_ceil(TILE_BYTES).max(1) as u32;
-        self.table.expand(out.id, tiles)?;
-        let mut blocks_written = 0;
-        for tile in 0..tiles {
-            let version = self.table.bump_tile(out.id, tile)?;
-            let tile_base = u64::from(tile) * TILE_BYTES;
-            let tile_len = TILE_BYTES.min(out.bytes - tile_base);
-            let mut rng = seeded_from(state, tile);
-            let mut off = 0;
-            while off < tile_len {
-                let mut block = [0u8; BLOCK_SIZE];
-                for chunk in block.chunks_exact_mut(8) {
-                    chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-                }
-                self.mem
-                    .write_block(out.addr.offset(tile_base + off), version, block);
-                blocks_written += 1;
-                off += BLOCK_SIZE as u64;
-            }
-        }
-        self.table.merge(out.id)?;
-        Ok(blocks_written)
-    }
-
     /// Execute one step (a decoded token or a training iteration).
     ///
     /// # Errors
@@ -592,42 +292,36 @@ impl<M: FunctionalMemory> SteppedSession<M> {
     /// [`RunError::Finished`] when a decode session's KV capacity is
     /// spent; [`RunError::Poisoned`] if the context is quarantined.
     pub fn step(&mut self) -> Result<StepTrace, RunError> {
-        self.guard()?;
-        if self.step >= self.capacity {
-            return Err(RunError::Finished);
-        }
-        let r = self.step_inner();
-        self.note(r)
+        self.guarded(|s| {
+            if s.is_finished() {
+                return Err(RunError::Finished);
+            }
+            s.step_inner()
+        })
     }
 
     fn step_inner(&mut self) -> Result<StepTrace, RunError> {
-        let s = self.step;
+        let s = self.cursor;
         let mut swept = self.preflight()?;
-        let mut blocks_read = 0;
         let mut blocks_written = 0;
 
         // Ingest phase: the new token/batch under a bumped input version.
-        let input = self.layout.input;
-        let in_version = self.bump_or_sweep(input.id, &mut swept)?;
-        let in_bytes = synth_bytes(self.seed.wrapping_add(s), input.id, input.bytes);
-        self.cpu
-            .write_tensor(&mut self.mem, input.addr, in_version, &in_bytes);
-
+        swept |= self.write_input(self.seed.wrapping_add(s))?;
         let mut digest = Sha256::new();
         digest.update(b"stepped");
         digest.update(&s.to_le_bytes());
-        blocks_read += self.ingest_tensor(&mut digest, input)?;
+        let mut blocks_read = self.ingest_tensor(&mut digest, self.layout.input)?;
 
         let mut grew_cache = false;
-        match self.kind {
+        match self.kind() {
             SteppedKind::Decode => {
                 // Weight-stationary: parameters were initialized by this
                 // enclave and never leave DRAM unmodified reads behind —
                 // their digest was taken at init, for free.
-                digest.update(&self.weight_state);
+                digest.update(&self.program.weight_state);
                 // Attention reads the whole written KV prefix, verified
                 // tile by tile under the per-tile versions.
-                let frontier = ((s * self.append_bytes) / TILE_BYTES) as u32;
+                let frontier = ((s * APPEND_BYTES) / TILE_BYTES) as u32;
                 let mut priors = Vec::with_capacity(self.caches.len());
                 for cache in self.caches.clone() {
                     priors.push(self.ingest_cache(
@@ -641,7 +335,7 @@ impl<M: FunctionalMemory> SteppedSession<M> {
                 for (cache, prior) in self.caches.clone().into_iter().zip(priors) {
                     grew_cache |= self.append_cache(cache, &state, prior, &mut blocks_written)?;
                 }
-                blocks_written += self.produce_output(&state)?;
+                blocks_written += self.produce_output(self.output(), &state)?.1;
             }
             SteppedKind::Train => {
                 // The churn path: every weight is streamed in verified...
@@ -649,23 +343,19 @@ impl<M: FunctionalMemory> SteppedSession<M> {
                     blocks_read += self.ingest_tensor(&mut digest, w)?;
                 }
                 let state = digest.finalize();
-                blocks_written += self.produce_output(&state)?;
+                blocks_written += self.produce_output(self.output(), &state)?.1;
                 // ...and rewritten by the SGD update under a bumped
                 // version. The pre-flight swept if any would exhaust.
                 for w in self.weights.clone() {
                     let v = self.bump_or_sweep(w.id, &mut swept)?;
-                    let mut rng = SplitMix64::new(state_seed(&state) ^ (u64::from(w.id) << 32) ^ s);
-                    let mut bytes = Vec::with_capacity(w.bytes as usize);
-                    while (bytes.len() as u64) < w.bytes {
-                        bytes.extend_from_slice(&rng.next_u64().to_le_bytes());
-                    }
-                    bytes.truncate(w.bytes as usize);
+                    let seed = state_seed(&state) ^ (u64::from(w.id) << 32) ^ s;
+                    let bytes = rng_bytes(SplitMix64::new(seed), w.bytes);
                     self.cpu.write_tensor(&mut self.mem, w.addr, v, &bytes);
                     blocks_written += w.bytes.div_ceil(BLOCK_SIZE as u64);
                 }
             }
         }
-        self.step += 1;
+        self.cursor += 1;
         Ok(StepTrace {
             step: s,
             blocks_read,
@@ -674,91 +364,19 @@ impl<M: FunctionalMemory> SteppedSession<M> {
             swept,
         })
     }
-
-    /// Read the session output (logits / loss surrogate) back on the CPU
-    /// side, verifying it.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Integrity`] if verification fails;
-    /// [`RunError::Poisoned`] if the context is quarantined.
-    pub fn read_output(&mut self) -> Result<Vec<u8>, RunError> {
-        self.guard()?;
-        let r = self.read_output_inner();
-        self.note(r)
-    }
-
-    fn read_output_inner(&mut self) -> Result<Vec<u8>, RunError> {
-        // tnpu-lint: allow(panic-path) — models have at least one layer.
-        let last = *self.layout.outputs.last().expect("models have layers");
-        let version = self.table.version(last.id, 0)?;
-        let blocks = last.bytes.div_ceil(BLOCK_SIZE as u64);
-        let mut out = Vec::with_capacity(last.bytes as usize);
-        for b in 0..blocks {
-            let addr = last.addr.offset(b * BLOCK_SIZE as u64);
-            let data = read_with_retry(&self.mem, self.recovery.as_mut(), addr, version)?;
-            out.extend_from_slice(&data);
-        }
-        out.truncate(last.bytes as usize);
-        Ok(out)
-    }
-
-    /// Suspend at a step boundary for a context switch (see
-    /// [`SteppedSnapshot`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Poisoned`] if the context is quarantined.
-    pub fn suspend(&self) -> Result<SteppedSnapshot, RunError> {
-        self.guard()?;
-        Ok(SteppedSnapshot {
-            table: self.table.snapshot(self.epoch),
-            step: self.step,
-            seed: self.seed,
-            weight_state: self.weight_state,
-        })
-    }
-
-    /// Resume from a [`suspend`](Self::suspend) snapshot, re-validating
-    /// its epoch tag against the context's current epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Version`] with
-    /// [`VersionError::StaleSnapshot`] if an epoch sweep ran while the
-    /// context was suspended (the attempt quarantines the context);
-    /// [`RunError::Poisoned`] if already quarantined.
-    pub fn resume(&mut self, snapshot: &SteppedSnapshot) -> Result<(), RunError> {
-        self.guard()?;
-        let r = self.resume_inner(snapshot);
-        self.note(r)
-    }
-
-    fn resume_inner(&mut self, snapshot: &SteppedSnapshot) -> Result<(), RunError> {
-        self.table.restore(&snapshot.table, self.epoch)?;
-        self.step = snapshot.step;
-        self.seed = snapshot.seed;
-        self.weight_state = snapshot.weight_state;
-        Ok(())
-    }
 }
-
-/// The first eight digest bytes as a little-endian RNG seed.
-fn state_seed(state: &[u8; 32]) -> u64 {
-    let mut seed = [0u8; 8];
-    // tnpu-lint: allow(panic-path) — `[..8]` of a `[u8; 32]` parameter.
-    seed.copy_from_slice(&state[..8]);
-    u64::from_le_bytes(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::version::ENTRY_BYTES;
+    use crate::recovery::RetryPolicy;
+    use crate::version::{VersionError, ENTRY_BYTES};
     use proptest::prelude::*;
     use tnpu_memprot::functional::build_functional;
-    use tnpu_memprot::{build_engine, ProtectionConfig, SchemeKind};
+    use tnpu_memprot::{build_engine, ProtectionConfig, ProtectionEngine, SchemeKind};
     use tnpu_models::registry;
+    use tnpu_npu::alloc::ModelLayout;
+    use tnpu_npu::config::NpuConfig;
+    use tnpu_sim::Addr;
 
     fn decode_session() -> SteppedSession {
         let model = registry::model("decode").expect("registered");
@@ -792,7 +410,7 @@ mod tests {
         let mut s = decode_session();
         let cache = s.caches[0];
         let before = s.version_table().storage_bytes();
-        let appends_per_tile = TILE_BYTES / s.append_bytes;
+        let appends_per_tile = TILE_BYTES / APPEND_BYTES;
         let steps = appends_per_tile + 1; // one past the tile boundary
         let mut grew = 0;
         for i in 0..steps {
@@ -904,12 +522,88 @@ mod tests {
     }
 
     #[test]
+    fn epoch_sweep_preserves_expanded_tensors() {
+        // Regression test for the sweep × dynamic-dataflow interaction:
+        // a KV cache mid-sequence is tile-expanded at sweep time and must
+        // survive the sweep with its expansion shape, per-tile
+        // written/unwritten split, storage accounting, and plaintext all
+        // intact — while pre-sweep snapshots turn stale. The old sweep
+        // skipped expanded tensors entirely, silently dropping the cache.
+        let mut s = decode_session();
+        let kv = s.caches[0];
+        let weight = s.weights[0];
+        assert_eq!(kv.bytes, 4 * TILE_BYTES, "capacity: 4 tiles");
+        let fresh_storage = s.version_table().storage_bytes();
+
+        // Mid-sequence state: 3 tiles expanded, tiles 0/1 at version 2,
+        // tile 2 at 1 (the step in flight), tile 3 not yet appended.
+        s.table.expand(kv.id, 2).expect("expand");
+        s.table.expand(kv.id, 3).expect("grow");
+        let write_tile = |mem: &mut TreelessMemory, tile: u32, version: u64| {
+            for b in 0..TILE_BYTES / BLOCK_SIZE as u64 {
+                let addr = kv
+                    .addr
+                    .offset(u64::from(tile) * TILE_BYTES + b * BLOCK_SIZE as u64);
+                mem.write_block(addr, version, [tile as u8 + 1; BLOCK_SIZE]);
+            }
+        };
+        for tile in 0..3u32 {
+            s.table.bump_tile(kv.id, tile).expect("bump");
+        }
+        for tile in 0..2u32 {
+            s.table.bump_tile(kv.id, tile).expect("bump");
+            write_tile(&mut s.mem, tile, 2);
+        }
+        write_tile(&mut s.mem, 2, 1);
+
+        let storage_before = s.version_table().storage_bytes();
+        let peak_before = s.version_table().peak_storage_bytes();
+        let stale = s.table.snapshot(0);
+        s.epoch_sweep().expect("sweep over intact state");
+
+        assert_eq!(s.epoch(), 1);
+        // The expansion shape survives: still expanded, same tile count,
+        // written tiles at 1 under the new epoch, storage bytes unmoved.
+        let table = s.version_table();
+        assert_eq!(table.is_expanded(kv.id), Ok(true));
+        assert_eq!(table.tile_count(kv.id), Ok(3));
+        for tile in 0..3 {
+            assert_eq!(table.version(kv.id, tile), Ok(1), "tile {tile}");
+        }
+        assert_eq!(table.version(weight.id, 0), Ok(1));
+        assert_eq!(table.storage_bytes(), storage_before);
+        assert_eq!(table.storage_bytes(), fresh_storage + 2 * ENTRY_BYTES);
+        assert_eq!(table.peak_storage_bytes(), peak_before);
+        // Plaintext round-trips under the new keys and versions.
+        for tile in 0..3u32 {
+            let addr = kv.addr.offset(u64::from(tile) * TILE_BYTES);
+            let block = s
+                .memory()
+                .read_block(addr, 1)
+                .expect("verifies in new epoch");
+            assert_eq!(block, [tile as u8 + 1; BLOCK_SIZE], "tile {tile}");
+        }
+        // The growth path still works post-sweep: appending tile 3 seeds
+        // it at the current max (1) and its first bump writes at 2.
+        s.table.expand(kv.id, 4).expect("grow post-sweep");
+        assert_eq!(s.table.bump_tile(kv.id, 3), Ok(2));
+        // A pre-sweep snapshot is now a typed staleness refusal.
+        assert_eq!(
+            s.table.restore(&stale, s.epoch()),
+            Err(VersionError::StaleSnapshot {
+                snapshot: 0,
+                current: 1
+            })
+        );
+    }
+
+    #[test]
     fn preemption_cycles_grow_with_the_sequence() {
         let config = NpuConfig::small_npu();
         let mut s = decode_session();
         s.step().expect("step 0");
         let early = s.preemption_cycles(&config);
-        let appends_per_tile = TILE_BYTES / s.append_bytes;
+        let appends_per_tile = TILE_BYTES / APPEND_BYTES;
         for _ in 0..appends_per_tile {
             s.step().expect("clean step");
         }

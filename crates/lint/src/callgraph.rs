@@ -16,7 +16,8 @@
 //!   reach DRAM). A finding is reported at the call site where a function
 //!   outside `crates/memprot` first crosses into the tainted set.
 //! * **panic-path** — forward reachability from the public API roots
-//!   (`pub` methods of `Session`/`SecureRunner`, `pub` fns in `serving`
+//!   (`pub` methods of the [`API_TYPES`] — the functional `Session` and
+//!   the context-lifecycle `SecureNpuSession` — and `pub` fns in `serving`
 //!   modules) over both edge classes (an over-approximation that errs
 //!   towards auditing more), flagging every panic-capable site in reached
 //!   non-test code.
@@ -180,8 +181,12 @@ fn engine_bypass(ws: &Workspace, graph: &Graph) -> Vec<SemFinding> {
     out
 }
 
-/// Types whose `pub` methods form the session-facing API surface.
-const API_TYPES: &[&str] = &["Session", "SecureRunner"];
+/// Types whose `pub` methods form the session-facing API surface: the
+/// functional session (`SecureRunner` and `SteppedSession` are aliases of
+/// it, so their methods are declared on `Session`) and the secure-context
+/// lifecycle. Every entry must name a struct the workspace declares — a
+/// root that matches nothing silently audits nothing.
+pub const API_TYPES: &[&str] = &["Session", "SecureNpuSession"];
 
 /// `panic-path`: forward reachability from the public API surface.
 fn panic_path(ws: &Workspace, graph: &Graph) -> Vec<SemFinding> {

@@ -224,7 +224,7 @@ pub const SEM_RULES: &[SemRule] = &[
         id: "panic-path",
         family: Family::Robustness,
         summary: "unwrap/expect/panic!/indexing reachable from the public \
-                  Session/SecureRunner/serving API surface",
+                  Session/SecureNpuSession/serving API surface",
         include: &["crates/core", "crates/tee"],
         exclude: &[],
         exempt_tests: true,

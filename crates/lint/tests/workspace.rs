@@ -3,9 +3,12 @@
 //! exit codes match its contract (`0` clean / advisory, `1` under
 //! `--deny-all` with violations, `2` tool errors).
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use tnpu_lint::callgraph::API_TYPES;
 use tnpu_lint::config::Config;
+use tnpu_lint::lexer::{lex, TokKind};
 use tnpu_lint::{lint_root, validate_config, DriverOptions};
 
 fn workspace_root() -> PathBuf {
@@ -53,6 +56,49 @@ fn the_workspace_lints_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Struct names declared in the non-test code under `dir` (test, bench,
+/// example and fixture directories and `#[cfg(test)]` regions excluded).
+fn declared_structs(dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() {
+            if !matches!(
+                name,
+                "tests" | "benches" | "examples" | "fixtures" | "target"
+            ) {
+                declared_structs(&path, out);
+            }
+        } else if name.ends_with(".rs") {
+            let lexed = lex(&std::fs::read_to_string(&path).expect("readable source"));
+            for pair in lexed.tokens.windows(2) {
+                if pair[0].is_ident("struct")
+                    && pair[1].kind == TokKind::Ident
+                    && !lexed.in_test_region(pair[0].line)
+                {
+                    out.insert(pair[1].text.clone());
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn panic_path_roots_name_declared_structs() {
+    // A root that names no type audits nothing, and nothing else would
+    // report it.
+    let root = workspace_root();
+    let mut declared = BTreeSet::new();
+    declared_structs(&root.join("crates"), &mut declared);
+    declared_structs(&root.join("src"), &mut declared);
+    for ty in API_TYPES {
+        assert!(
+            declared.contains(*ty),
+            "panic-path root `{ty}` names no struct declared in non-test code"
+        );
+    }
 }
 
 #[test]
