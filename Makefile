@@ -1,6 +1,6 @@
 # Convenience aliases for the checks CI runs. `make check` is the full gate.
 
-.PHONY: build test bench-test fmt clippy doc lint lint-sarif attacks faults serve decode check bench
+.PHONY: build test bench-test fmt clippy doc lint lint-sarif results attacks faults serve decode check bench
 
 build:
 	cargo build --release --workspace --locked
@@ -33,6 +33,13 @@ lint:
 # SARIF 2.1.0 report for code-scanning upload (written to tnpu-lint.sarif).
 lint-sarif:
 	cargo run -p tnpu-lint --release --locked -- --format sarif > tnpu-lint.sarif
+
+# Full figure output: the 14-model `experiments all` stdout must equal the
+# committed results_full.txt byte for byte. Unlike `bench`, it appends no
+# timing record.
+results: build
+	./target/release/experiments --threads 2 all > target/experiments_all.txt
+	diff -u results_full.txt target/experiments_all.txt
 
 # Adversarial attack-injection matrix over the functional schemes;
 # --deny-undetected fails if any cell contradicts the paper's claims.
@@ -68,4 +75,4 @@ bench:
 	./target/release/experiments --bench-json BENCH_sweep.json all > /tmp/tnpu_bench_out.txt
 	diff -q results_full.txt /tmp/tnpu_bench_out.txt
 
-check: build test bench-test fmt clippy doc lint attacks faults serve decode
+check: build test bench-test fmt clippy doc lint results attacks faults serve decode

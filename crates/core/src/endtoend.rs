@@ -97,7 +97,7 @@ pub fn run_end_to_end_seeded(
     // Phase 2: NPU inference. The controller is busy until init_done, so
     // the machine's transfers queue behind the initialization.
     let plan = tiler::plan(model, npu, &layout, seed);
-    let mut machine = NpuMachine::new(plan);
+    let mut machine = NpuMachine::new(&plan);
     while !machine.is_done() {
         machine.serve_next(&mut ctl);
     }

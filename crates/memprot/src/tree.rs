@@ -112,14 +112,6 @@ impl TreeGeometry {
         idx
     }
 
-    /// Iterate over the `(level, node_index)` pairs of the verification path
-    /// from `counter_index` (exclusive) up to, but not including, the root.
-    /// These are the nodes that live in DRAM and may be cached in the hash
-    /// cache.
-    pub fn walk(&self, counter_index: u64) -> impl Iterator<Item = (u32, u64)> + '_ {
-        (1..self.root_level()).map(move |level| (level, self.ancestor(counter_index, level)))
-    }
-
     /// Total tree-node storage (levels 1..root, 64 B each), in bytes. The
     /// root lives on-chip and is excluded.
     #[must_use]
@@ -157,12 +149,18 @@ mod tests {
 
     #[test]
     fn walk_excludes_root_and_leaves() {
+        // The in-memory path of a counter block is its ancestors at
+        // levels 1..root_level.
         let g = TreeGeometry::new(1 << 20, 64);
-        let path: Vec<_> = g.walk(0).collect();
-        assert_eq!(path, vec![(1, 0), (2, 0), (3, 0)]);
-        let path: Vec<_> = g.walk((1 << 20) - 1).collect();
-        assert_eq!(path.len(), 3);
-        assert_eq!(path[0], (1, (1 << 14) - 1));
+        let path = |counter| -> Vec<_> {
+            (1..g.root_level())
+                .map(|level| (level, g.ancestor(counter, level)))
+                .collect()
+        };
+        assert_eq!(path(0), vec![(1, 0), (2, 0), (3, 0)]);
+        let last = path((1 << 20) - 1);
+        assert_eq!(last.len(), 3);
+        assert_eq!(last[0], (1, (1 << 14) - 1));
     }
 
     #[test]
@@ -179,7 +177,7 @@ mod tests {
     fn tiny_tree_has_onchip_root_only() {
         let g = TreeGeometry::new(1, 64);
         assert_eq!(g.depth(), 2);
-        assert_eq!(g.walk(0).count(), 0, "no in-memory tree nodes");
+        assert_eq!(g.root_level(), 1, "no in-memory tree nodes");
         assert_eq!(g.node_storage_bytes(), 0);
     }
 

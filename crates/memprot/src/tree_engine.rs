@@ -94,7 +94,7 @@ impl TreeBasedEngine {
             self.layout.contains_block(block),
             "access at {addr} outside protected region"
         );
-        BlockAddr(block.0 % self.layout.data_blocks())
+        block
     }
 
     /// Decode a counter-window address back to its counter index.
@@ -167,8 +167,10 @@ impl TreeBasedEngine {
         cost.meta_bytes += BLOCK_SIZE as u64;
         cost.serial_misses += 1;
         self.events.add("tree_walk", 1);
-        let path: Vec<(u32, u64)> = self.geometry.walk(counter_index).collect();
-        for (level, node) in path {
+        // Climb the in-memory levels 1..root from the counter block.
+        let mut node = counter_index;
+        for level in 1..self.geometry.root_level() {
+            node /= self.geometry.arity_at(level - 1);
             let addr = self.layout.tree_node_addr(level, node);
             let outcome = self.hash_cache.access(addr, AccessKind::Read);
             if let Some(victim) = outcome.writeback() {

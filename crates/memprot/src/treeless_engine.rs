@@ -67,7 +67,7 @@ impl TreelessEngine {
             self.layout.contains_block(block),
             "access at {addr} outside protected region"
         );
-        BlockAddr(block.0 % self.layout.data_blocks())
+        block
     }
 
     fn mac_access(&mut self, block: BlockAddr, kind: AccessKind, cost: &mut AccessCost) {

@@ -165,12 +165,12 @@ pub fn simulate_cold_warm(
     let mut ctl = MemoryController::new(engine, npu);
     let layout = ModelLayout::allocate(model, tnpu_sim::Addr(0));
     let plan = tiler::plan(model, npu, &layout, 0xC01D);
-    let mut first = NpuMachine::new(plan.clone());
+    let mut first = NpuMachine::new(&plan);
     while !first.is_done() {
         first.serve_next(&mut ctl);
     }
     let cold = first.into_report(&ctl);
-    let mut second = NpuMachine::new(plan);
+    let mut second = NpuMachine::new(&plan);
     while !second.is_done() {
         second.serve_next(&mut ctl);
     }

@@ -21,10 +21,11 @@ enum Item {
     Stores(usize),
 }
 
-/// Double-buffered executor for one NPU.
+/// Double-buffered executor for one NPU, borrowing the plan it runs so one
+/// lowered plan can drive many replays without being copied.
 #[derive(Debug)]
-pub struct NpuMachine {
-    plan: ModelPlan,
+pub struct NpuMachine<'a> {
+    plan: &'a ModelPlan,
     /// Emission order of load/store groups.
     seq: Vec<Item>,
     /// Whether the loads at this seq position sit just after a layer
@@ -47,14 +48,14 @@ pub struct NpuMachine {
     finish: Option<Cycles>,
 }
 
-impl NpuMachine {
+impl<'a> NpuMachine<'a> {
     /// Build the machine for a lowered plan.
     ///
     /// # Panics
     ///
     /// Panics if the plan has no jobs.
     #[must_use]
-    pub fn new(plan: ModelPlan) -> Self {
+    pub fn new(plan: &'a ModelPlan) -> Self {
         assert!(!plan.jobs.is_empty(), "plan has no jobs");
         let n = plan.jobs.len();
         let mut seq = Vec::with_capacity(2 * n);
@@ -229,7 +230,7 @@ mod tests {
         let plan = tiler::plan(&model, &npu, &layout, 1);
         let engine = build_engine(scheme, &ProtectionConfig::paper_default());
         let mut ctl = MemoryController::new(engine, &npu);
-        let mut m = NpuMachine::new(plan);
+        let mut m = NpuMachine::new(&plan);
         while !m.is_done() {
             m.serve_next(&mut ctl);
         }
@@ -302,7 +303,7 @@ mod tests {
             .sum();
         let engine = build_engine(SchemeKind::Unsecure, &ProtectionConfig::paper_default());
         let mut ctl = MemoryController::new(engine, &npu);
-        let mut m = NpuMachine::new(plan);
+        let mut m = NpuMachine::new(&plan);
         while !m.is_done() {
             m.serve_next(&mut ctl);
         }

@@ -191,10 +191,7 @@ impl TileTrace {
             "trace covers {} NPUs, asked for {count}",
             self.plans.len()
         );
-        let mut machines: Vec<NpuMachine> = self.plans[..count]
-            .iter()
-            .map(|plan| NpuMachine::new(plan.clone()))
-            .collect();
+        let mut machines: Vec<_> = self.plans[..count].iter().map(NpuMachine::new).collect();
         let mut ctl = MemoryController::new(engine, npu);
         loop {
             let next = machines

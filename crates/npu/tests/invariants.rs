@@ -86,7 +86,7 @@ fn single_job_machine_completes() {
     assert_eq!(plan.jobs.len(), 1);
     let engine = build_engine(SchemeKind::Treeless, &ProtectionConfig::paper_default());
     let mut ctl = MemoryController::new(engine, &npu);
-    let mut m = NpuMachine::new(plan);
+    let mut m = NpuMachine::new(&plan);
     let mut served = 0;
     while !m.is_done() {
         m.serve_next(&mut ctl);
@@ -112,7 +112,7 @@ fn layer_barrier_orders_finishes() {
     let plan = tiler::plan(&model, &npu, &layout, 1);
     let engine = build_engine(SchemeKind::Unsecure, &ProtectionConfig::paper_default());
     let mut ctl = MemoryController::new(engine, &npu);
-    let mut m = NpuMachine::new(plan);
+    let mut m = NpuMachine::new(&plan);
     while !m.is_done() {
         m.serve_next(&mut ctl);
     }

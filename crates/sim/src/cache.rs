@@ -3,6 +3,12 @@
 //! Used for the security-metadata caches (counter cache, hash cache, MAC
 //! cache) and for TLBs. The model tracks tags only — data contents live in
 //! the functional layer of the memory-protection crate.
+//!
+//! Line sizes and set counts are powers of two, so an address splits into
+//! (set, tag) with a shift, a mask and a shift, and a line's base address
+//! comes back with two shifts. A run of repeated accesses to one line
+//! ([`Cache::access_repeated`]) costs one index and one set scan however
+//! long the run is.
 
 use crate::Addr;
 
@@ -52,7 +58,8 @@ impl CacheOutcome {
     }
 }
 
-/// Static geometry of a [`Cache`].
+/// Static geometry of a [`Cache`]. [`Cache::new`] also requires the implied
+/// set count to be a power of two.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Human-readable name used in statistics dumps.
@@ -164,19 +171,43 @@ pub struct Cache {
     sets: Vec<Vec<Line>>,
     stats: CacheStats,
     tick: u64,
+    /// `log2(line_size)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(set count)`: a line number's tag is `line >> set_shift`.
+    set_shift: u32,
 }
 
 impl Cache {
     /// Build an empty cache with the given geometry.
+    ///
+    /// Both the line size and the set count are powers of two, so every
+    /// index is a shift and a mask rather than two 64-bit divisions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set count (`capacity / (ways * line_size)`) is not a
+    /// power of two. [`CacheConfig`]'s fields are public, so this is the
+    /// one check every geometry passes through. Every in-tree geometry
+    /// meets it: the paper default has 8/8/16 sets (counter/hash/MAC),
+    /// `with_cache_scale` multiplies capacities by a power of two, the
+    /// tree-less engine's version cache has 16 sets, the benchmark's
+    /// micro cache 8, and the test caches 2 or 8.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
+        let set_count = config.sets();
+        assert!(
+            set_count.is_power_of_two(),
+            "set count {set_count} must be a power of two"
+        );
         // `vec![v; n]` clones `v`, and `Vec: Clone` clones only contents —
         // not capacity — so each set must be allocated individually or every
         // set re-allocates (up to log2(ways) times) during warm-up.
-        let sets = (0..config.sets())
+        let sets = (0..set_count)
             .map(|_| Vec::with_capacity(config.ways))
             .collect();
         Cache {
+            line_shift: config.line_size.trailing_zeros(),
+            set_shift: set_count.trailing_zeros(),
             config,
             sets,
             stats: CacheStats::default(),
@@ -217,17 +248,13 @@ impl Cache {
     /// [`invalidate`]: Cache::invalidate
     /// [`reset_stats`]: Cache::reset_stats
     pub fn flush(&mut self) -> Vec<Addr> {
-        let line_size = self.config.line_size as u64;
-        let sets = self.sets.len() as u64;
         let mut victims = Vec::new();
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
-            for line in set.drain(..) {
-                if line.dirty {
-                    let line_no = line.tag * sets + set_idx as u64;
-                    victims.push(Addr(line_no * line_size));
-                }
+        for (set_idx, set) in self.sets.iter().enumerate() {
+            for line in set.iter().filter(|l| l.dirty) {
+                victims.push(self.line_addr(line.tag, set_idx));
             }
         }
+        self.sets.iter_mut().for_each(Vec::clear);
         self.tick = 0;
         victims.sort_unstable();
         self.stats.writebacks += victims.len() as u64;
@@ -235,10 +262,16 @@ impl Cache {
     }
 
     fn index(&self, addr: Addr) -> (usize, u64) {
-        let line = addr.0 / self.config.line_size as u64;
-        let sets = self.sets.len() as u64;
-        let set = usize::try_from(line % sets).expect("set index is below the set count");
-        (set, line / sets)
+        let line = addr.0 >> self.line_shift;
+        let set = usize::try_from(line & ((1 << self.set_shift) - 1))
+            .expect("set index is below the set count");
+        (set, line >> self.set_shift)
+    }
+
+    /// Base address of the line with `tag` in set `set_idx` — the inverse
+    /// of [`Cache::index`].
+    fn line_addr(&self, tag: u64, set_idx: usize) -> Addr {
+        Addr(((tag << self.set_shift) | set_idx as u64) << self.line_shift)
     }
 
     /// Access the line containing `addr`.
@@ -247,45 +280,7 @@ impl Cache {
     /// dirty victim is evicted, its base address is returned in the outcome
     /// so the caller can account for write-back traffic.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> CacheOutcome {
-        self.tick += 1;
-        let tick = self.tick;
-        let ways = self.config.ways;
-        let line_size = self.config.line_size as u64;
-        let sets = self.sets.len() as u64;
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.lru = tick;
-            if kind == AccessKind::Write {
-                line.dirty = true;
-            }
-            self.stats.hits += 1;
-            return CacheOutcome::Hit;
-        }
-
-        self.stats.misses += 1;
-        let mut writeback = None;
-        if set.len() >= ways {
-            // Evict LRU.
-            let (victim_idx, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("non-empty set");
-            let victim = set.swap_remove(victim_idx);
-            if victim.dirty {
-                self.stats.writebacks += 1;
-                let line_no = victim.tag * sets + set_idx as u64;
-                writeback = Some(Addr(line_no * line_size));
-            }
-        }
-        set.push(Line {
-            tag,
-            dirty: kind == AccessKind::Write,
-            lru: tick,
-        });
-        CacheOutcome::Miss { writeback }
+        self.access_repeated(addr, kind, 1)
     }
 
     /// Access the line containing `addr` `repeats` times back to back.
@@ -299,6 +294,14 @@ impl Cache {
     /// workhorse: a run of data blocks sharing one metadata block becomes a
     /// single tag lookup instead of one per data block.
     ///
+    /// All repeats are applied in one index and one set scan: the tick
+    /// advances by `repeats` up front, a hit stamps the line with the final
+    /// tick, and a miss counts one miss plus `repeats - 1` hits and inserts
+    /// the line with the final tick. The LRU victim is chosen among the
+    /// lines already resident, all stamped before this access, so stamping
+    /// the new line with the final rather than the first tick changes no
+    /// eviction.
+    ///
     /// Returns the outcome of the *first* access (the only one that can
     /// move data).
     ///
@@ -309,20 +312,46 @@ impl Cache {
     /// [`access`]: Cache::access
     pub fn access_repeated(&mut self, addr: Addr, kind: AccessKind, repeats: u64) -> CacheOutcome {
         assert!(repeats > 0, "access_repeated wants at least one access");
-        let outcome = self.access(addr, kind);
-        let extra = repeats - 1;
-        if extra > 0 {
-            self.tick += extra;
-            self.stats.hits += extra;
-            let tick = self.tick;
-            let (set_idx, tag) = self.index(addr);
-            let line = self.sets[set_idx]
-                .iter_mut()
-                .find(|l| l.tag == tag)
-                .expect("line was just accessed");
+        self.tick += repeats;
+        let tick = self.tick;
+        let ways = self.config.ways;
+        let (set_idx, tag) = self.index(addr);
+        let set = &mut self.sets[set_idx];
+
+        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
             line.lru = tick;
+            if kind == AccessKind::Write {
+                line.dirty = true;
+            }
+            self.stats.hits += repeats;
+            return CacheOutcome::Hit;
         }
-        outcome
+
+        self.stats.misses += 1;
+        self.stats.hits += repeats - 1;
+        let mut victim = None;
+        if set.len() >= ways {
+            // Evict LRU.
+            let (victim_idx, _) = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.lru)
+                .expect("non-empty set");
+            victim = Some(set.swap_remove(victim_idx));
+        }
+        set.push(Line {
+            tag,
+            dirty: kind == AccessKind::Write,
+            lru: tick,
+        });
+        let writeback = match victim {
+            Some(v) if v.dirty => {
+                self.stats.writebacks += 1;
+                Some(self.line_addr(v.tag, set_idx))
+            }
+            _ => None,
+        };
+        CacheOutcome::Miss { writeback }
     }
 
     /// Access `n_lines` consecutive lines starting at the line containing
@@ -342,8 +371,8 @@ impl Cache {
         kind: AccessKind,
         mut f: impl FnMut(CacheOutcome),
     ) {
-        let line_size = self.config.line_size as u64;
-        let start = base.0 / line_size * line_size;
+        let line_size = 1 << self.line_shift;
+        let start = base.0 >> self.line_shift << self.line_shift;
         for i in 0..n_lines {
             f(self.access(Addr(start + i * line_size), kind));
         }
@@ -360,19 +389,14 @@ impl Cache {
     /// Invalidate the line containing `addr` if resident. Returns the base
     /// address of the line if it was dirty (caller accounts the write-back).
     pub fn invalidate(&mut self, addr: Addr) -> Option<Addr> {
-        let line_size = self.config.line_size as u64;
-        let sets = self.sets.len() as u64;
         let (set_idx, tag) = self.index(addr);
         let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|l| l.tag == tag) {
-            let victim = set.swap_remove(pos);
-            if victim.dirty {
-                self.stats.writebacks += 1;
-                let line_no = victim.tag * sets + set_idx as u64;
-                return Some(Addr(line_no * line_size));
-            }
+        let pos = set.iter().position(|l| l.tag == tag)?;
+        if !set.swap_remove(pos).dirty {
+            return None;
         }
-        None
+        self.stats.writebacks += 1;
+        Some(self.line_addr(tag, set_idx))
     }
 }
 
@@ -395,6 +419,14 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_line_size_panics() {
         let _ = CacheConfig::new("t", 256, 2, 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count 3 must be a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        // 192 B / (1 way x 64 B) = 3 sets: a valid `CacheConfig`, but not
+        // an indexable cache.
+        let _ = Cache::new(CacheConfig::new("t", 192, 1, 64));
     }
 
     #[test]
@@ -596,5 +628,237 @@ mod tests {
         }
         c.access(Addr(64), AccessKind::Read); // set 1
         assert!(c.probe(Addr(64)));
+    }
+}
+
+/// The division-based cache that the shift-and-mask `Cache` above
+/// replaced, kept unchanged as the lockstep reference: it indexes with
+/// `/` and `%` by the line size and set count, and applies
+/// `access_repeated` as one access plus a rescan.
+#[cfg(test)]
+mod reference {
+    use super::{AccessKind, CacheConfig, CacheOutcome, CacheStats, Line};
+    use crate::Addr;
+
+    #[derive(Debug, Clone)]
+    pub struct Cache {
+        config: CacheConfig,
+        sets: Vec<Vec<Line>>,
+        stats: CacheStats,
+        tick: u64,
+    }
+
+    impl Cache {
+        pub fn new(config: CacheConfig) -> Self {
+            let sets = (0..config.sets())
+                .map(|_| Vec::with_capacity(config.ways))
+                .collect();
+            Cache {
+                config,
+                sets,
+                stats: CacheStats::default(),
+                tick: 0,
+            }
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+
+        pub fn reset_stats(&mut self) {
+            self.stats = CacheStats::default();
+        }
+
+        pub fn flush(&mut self) -> Vec<Addr> {
+            let line_size = self.config.line_size as u64;
+            let sets = self.sets.len() as u64;
+            let mut victims = Vec::new();
+            for (set_idx, set) in self.sets.iter_mut().enumerate() {
+                for line in set.drain(..) {
+                    if line.dirty {
+                        let line_no = line.tag * sets + set_idx as u64;
+                        victims.push(Addr(line_no * line_size));
+                    }
+                }
+            }
+            self.tick = 0;
+            victims.sort_unstable();
+            self.stats.writebacks += victims.len() as u64;
+            victims
+        }
+
+        fn index(&self, addr: Addr) -> (usize, u64) {
+            let line = addr.0 / self.config.line_size as u64;
+            let sets = self.sets.len() as u64;
+            let set = usize::try_from(line % sets).expect("set index is below the set count");
+            (set, line / sets)
+        }
+
+        pub fn access(&mut self, addr: Addr, kind: AccessKind) -> CacheOutcome {
+            self.tick += 1;
+            let tick = self.tick;
+            let ways = self.config.ways;
+            let line_size = self.config.line_size as u64;
+            let sets = self.sets.len() as u64;
+            let (set_idx, tag) = self.index(addr);
+            let set = &mut self.sets[set_idx];
+
+            if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+                line.lru = tick;
+                if kind == AccessKind::Write {
+                    line.dirty = true;
+                }
+                self.stats.hits += 1;
+                return CacheOutcome::Hit;
+            }
+
+            self.stats.misses += 1;
+            let mut writeback = None;
+            if set.len() >= ways {
+                // Evict LRU.
+                let (victim_idx, _) = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.lru)
+                    .expect("non-empty set");
+                let victim = set.swap_remove(victim_idx);
+                if victim.dirty {
+                    self.stats.writebacks += 1;
+                    let line_no = victim.tag * sets + set_idx as u64;
+                    writeback = Some(Addr(line_no * line_size));
+                }
+            }
+            set.push(Line {
+                tag,
+                dirty: kind == AccessKind::Write,
+                lru: tick,
+            });
+            CacheOutcome::Miss { writeback }
+        }
+
+        pub fn access_repeated(
+            &mut self,
+            addr: Addr,
+            kind: AccessKind,
+            repeats: u64,
+        ) -> CacheOutcome {
+            assert!(repeats > 0, "access_repeated wants at least one access");
+            let outcome = self.access(addr, kind);
+            let extra = repeats - 1;
+            if extra > 0 {
+                self.tick += extra;
+                self.stats.hits += extra;
+                let tick = self.tick;
+                let (set_idx, tag) = self.index(addr);
+                let line = self.sets[set_idx]
+                    .iter_mut()
+                    .find(|l| l.tag == tag)
+                    .expect("line was just accessed");
+                line.lru = tick;
+            }
+            outcome
+        }
+
+        pub fn access_many(
+            &mut self,
+            base: Addr,
+            n_lines: u64,
+            kind: AccessKind,
+            mut f: impl FnMut(CacheOutcome),
+        ) {
+            let line_size = self.config.line_size as u64;
+            let start = base.0 / line_size * line_size;
+            for i in 0..n_lines {
+                f(self.access(Addr(start + i * line_size), kind));
+            }
+        }
+
+        pub fn probe(&self, addr: Addr) -> bool {
+            let (set_idx, tag) = self.index(addr);
+            self.sets[set_idx].iter().any(|l| l.tag == tag)
+        }
+
+        pub fn invalidate(&mut self, addr: Addr) -> Option<Addr> {
+            let line_size = self.config.line_size as u64;
+            let sets = self.sets.len() as u64;
+            let (set_idx, tag) = self.index(addr);
+            let set = &mut self.sets[set_idx];
+            if let Some(pos) = set.iter().position(|l| l.tag == tag) {
+                let victim = set.swap_remove(pos);
+                if victim.dirty {
+                    self.stats.writebacks += 1;
+                    let line_no = victim.tag * sets + set_idx as u64;
+                    return Some(Addr(line_no * line_size));
+                }
+            }
+            None
+        }
+    }
+}
+
+#[cfg(test)]
+mod lockstep {
+    use super::*;
+    use proptest::prelude::*;
+
+    const SETS: [usize; 4] = [1, 2, 16, 64];
+    const WAYS: [usize; 3] = [1, 2, 8];
+    const LINES: [usize; 2] = [32, 64];
+
+    proptest! {
+        /// Random operation sequences over every small geometry leave the
+        /// shift-and-mask cache and the division-based reference in step:
+        /// the same outcomes, write-back victims, probe results and
+        /// statistics after every operation, and the same resident lines at
+        /// the end. Addresses span four times the capacity, so sets
+        /// overflow and dirty lines get evicted, in a low region and in one
+        /// at 2^40 where tags are large.
+        #[test]
+        fn shift_and_mask_cache_matches_the_division_reference(
+            geometry in (0usize..4, 0usize..3, 0usize..2),
+            ops in prop::collection::vec(
+                (0u8..7, any::<u64>(), 1u64..=200, any::<bool>(), any::<bool>()),
+                1..160,
+            ),
+        ) {
+            let (sets, ways, line) = (SETS[geometry.0], WAYS[geometry.1], LINES[geometry.2]);
+            let config = CacheConfig::new("lockstep", sets * ways * line, ways, line);
+            let mut fast = Cache::new(config.clone());
+            let mut slow = reference::Cache::new(config);
+            let span = 4 * (sets * ways * line) as u64;
+            for (op, raw, n, write, high) in ops {
+                let addr = Addr(if high { 1 << 40 } else { 0 } + raw % span);
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                match op {
+                    0 => prop_assert_eq!(fast.access(addr, kind), slow.access(addr, kind)),
+                    1 => prop_assert_eq!(
+                        fast.access_repeated(addr, kind, n),
+                        slow.access_repeated(addr, kind, n)
+                    ),
+                    2 => {
+                        let lines = n % 24;
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        fast.access_many(addr, lines, kind, |o| got.push(o));
+                        slow.access_many(addr, lines, kind, |o| want.push(o));
+                        prop_assert_eq!(got, want);
+                    }
+                    3 => prop_assert_eq!(fast.probe(addr), slow.probe(addr)),
+                    4 => prop_assert_eq!(fast.invalidate(addr), slow.invalidate(addr)),
+                    5 => prop_assert_eq!(fast.flush(), slow.flush()),
+                    _ => {
+                        fast.reset_stats();
+                        slow.reset_stats();
+                    }
+                }
+                prop_assert_eq!(fast.stats(), slow.stats());
+                prop_assert_eq!(fast.probe(addr), slow.probe(addr));
+            }
+            for base in [0, 1 << 40] {
+                for offset in (0..span).step_by(line) {
+                    let addr = Addr(base + offset);
+                    prop_assert_eq!(fast.probe(addr), slow.probe(addr), "{:?}", addr);
+                }
+            }
+        }
     }
 }

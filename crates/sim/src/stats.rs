@@ -94,10 +94,17 @@ pub struct EventCounters {
 }
 
 impl EventCounters {
-    /// Increment `name` by `n` (saturating).
+    /// Increment `name` by `n` (saturating). A name seen for the first
+    /// time is recorded even when `n` is zero.
     pub fn add(&mut self, name: &str, n: u64) {
-        let slot = self.counters.entry(name.to_owned()).or_insert(0);
-        *slot = slot.saturating_add(n);
+        // Look up before inserting: the key is allocated only on a name's
+        // first insertion, not on every event.
+        match self.counters.get_mut(name) {
+            Some(slot) => *slot = slot.saturating_add(n),
+            None => {
+                self.counters.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Current value of `name` (zero if never incremented).
@@ -166,6 +173,19 @@ mod tests {
         assert_eq!(a.get("x"), 3);
         assert_eq!(a.get("y"), 3);
         assert_eq!(a.iter().count(), 2);
+    }
+
+    #[test]
+    fn adding_zero_still_records_a_new_name() {
+        // Equality of engine stats and run reports compares the maps, so a
+        // zero-valued first event must still create its entry.
+        let mut a = EventCounters::default();
+        a.add("x", 0);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![("x", 0)]);
+        assert_ne!(a, EventCounters::default());
+        a.add("x", u64::MAX);
+        a.add("x", 1);
+        assert_eq!(a.get("x"), u64::MAX, "saturates");
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn trace(scheme: SchemeKind) -> (u64, u64, u64) {
     let compute_only = plan.compute_cycles().0;
     let engine = build_engine(scheme, &ProtectionConfig::paper_default());
     let mut ctl = MemoryController::new(engine, &npu);
-    let mut machine = NpuMachine::new(plan);
+    let mut machine = NpuMachine::new(&plan);
     while !machine.is_done() {
         machine.serve_next(&mut ctl);
     }
