@@ -1,6 +1,6 @@
 # Convenience aliases for the checks CI runs. `make check` is the full gate.
 
-.PHONY: build test bench-test fmt clippy doc lint lint-sarif results attacks faults serve decode check bench
+.PHONY: build test bench-test bench-smoke fmt clippy doc lint lint-sarif results attacks faults serve decode check bench
 
 build:
 	cargo build --release --workspace --locked
@@ -12,6 +12,13 @@ test:
 # wrapper-equivalence, golden-drift and BENCHMARK.json consistency tests.
 bench-test:
 	cargo test --manifest-path benchmark/Cargo.toml --locked --offline
+
+# The benchmark binary end to end at one second a workload: every unit's
+# oracle on the real workloads, then the traced replicas compared cell by
+# cell through TimedMemory. Each run exits 1 if any oracle fails.
+bench-smoke:
+	cargo run --release --locked --offline --manifest-path benchmark/Cargo.toml -- --seconds 1
+	cargo run --release --locked --offline --manifest-path benchmark/Cargo.toml -- --seconds 1 --trace 1
 
 fmt:
 	cargo fmt --all --check
@@ -75,4 +82,4 @@ bench:
 	./target/release/experiments --bench-json BENCH_sweep.json all > /tmp/tnpu_bench_out.txt
 	diff -q results_full.txt /tmp/tnpu_bench_out.txt
 
-check: build test bench-test fmt clippy doc lint results attacks faults serve decode
+check: build test bench-test bench-smoke fmt clippy doc lint results attacks faults serve decode

@@ -1,7 +1,7 @@
 //! CLI driver for the adversarial attack-injection matrix.
 //!
 //! ```text
-//! attacks [--deny-undetected] [--threads N] [model ...]
+//! attacks [--deny-undetected] [--threads N] [--bench-json PATH] [model ...]
 //! ```
 //!
 //! Runs every attack of the taxonomy against every protection scheme on
@@ -9,7 +9,9 @@
 //! prints the scheme × attack detection matrix. With `--deny-undetected`
 //! the process exits non-zero if any cell contradicts the paper's claims
 //! — the CI gate. stdout is byte-identical at any thread count; timing
-//! goes to stderr.
+//! goes to stderr. `--bench-json PATH` appends one JSON record of the
+//! run's pool timings to the array in `PATH`, as `experiments` and
+//! `decode` do.
 
 use tnpu_bench::{attacks, sweep};
 use tnpu_models::registry;
@@ -28,6 +30,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut deny = false;
     let mut models: Vec<&str> = Vec::new();
+    let mut bench_json: Option<std::path::PathBuf> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--deny-undetected" {
@@ -40,6 +43,14 @@ fn main() {
             sweep::set_threads(parse_thread_count(value));
         } else if let Some(value) = arg.strip_prefix("--threads=") {
             sweep::set_threads(parse_thread_count(value));
+        } else if arg == "--bench-json" {
+            let Some(value) = iter.next() else {
+                eprintln!("--bench-json wants a path");
+                std::process::exit(2);
+            };
+            bench_json = Some(value.into());
+        } else if let Some(value) = arg.strip_prefix("--bench-json=") {
+            bench_json = Some(value.into());
         } else if arg.starts_with("--") {
             eprintln!("unknown flag: {arg}");
             std::process::exit(2);
@@ -59,9 +70,11 @@ fn main() {
     println!("{}", attacks::render(&cells));
 
     // Timing telemetry is nondeterministic, so it goes to stderr only —
-    // stdout must stay byte-identical at any thread count.
-    if let Some(summary) = sweep::session_summary() {
-        eprint!("{summary}");
+    // stdout must stay byte-identical at any thread count. The optional
+    // benchmark record goes to its own file, never to stdout.
+    if let Err(e) = sweep::finish_session(&args.join(" "), bench_json.as_deref()) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 
     let bad = cells.iter().filter(|(_, c)| !c.matches()).count();

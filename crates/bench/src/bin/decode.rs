@@ -102,17 +102,9 @@ fn main() {
     // Timing telemetry is nondeterministic, so it goes to stderr only —
     // stdout must stay byte-identical at any thread count. The optional
     // benchmark record goes to its own file, never to stdout.
-    let pools = sweep::take_session();
-    if let Some(summary) = sweep::summarize(&pools) {
-        eprint!("{summary}");
-    }
-    if let Some(path) = bench_json {
-        let record = sweep::bench_record_json(&args.join(" "), sweep::threads(), &pools);
-        if let Err(e) = sweep::append_bench_json(&path, &record) {
-            eprintln!("cannot write benchmark record to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("benchmark record appended to {}", path.display());
+    if let Err(e) = sweep::finish_session(&args.join(" "), bench_json.as_deref()) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 
     let undetected = attack_cells.iter().filter(|(_, c)| !c.matches()).count();

@@ -1,7 +1,7 @@
 //! CLI driver for the environmental-fault resilience matrix.
 //!
 //! ```text
-//! faults [--deny-corrupted] [--threads N] [model ...]
+//! faults [--deny-corrupted] [--threads N] [--bench-json PATH] [model ...]
 //! ```
 //!
 //! Injects every environmental fault process of the taxonomy (transient
@@ -11,7 +11,9 @@
 //! resilience matrix. With `--deny-corrupted` the process exits non-zero
 //! if any cell contradicts the fault model — the CI gate that protected
 //! schemes never compute on corrupted data. stdout is byte-identical at
-//! any thread count; timing goes to stderr.
+//! any thread count; timing goes to stderr. `--bench-json PATH` appends
+//! one JSON record of the run's pool timings to the array in `PATH`, as
+//! `experiments` and `decode` do.
 
 use tnpu_bench::{faults, sweep};
 use tnpu_models::registry;
@@ -30,6 +32,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut deny = false;
     let mut models: Vec<&str> = Vec::new();
+    let mut bench_json: Option<std::path::PathBuf> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--deny-corrupted" {
@@ -42,6 +45,14 @@ fn main() {
             sweep::set_threads(parse_thread_count(value));
         } else if let Some(value) = arg.strip_prefix("--threads=") {
             sweep::set_threads(parse_thread_count(value));
+        } else if arg == "--bench-json" {
+            let Some(value) = iter.next() else {
+                eprintln!("--bench-json wants a path");
+                std::process::exit(2);
+            };
+            bench_json = Some(value.into());
+        } else if let Some(value) = arg.strip_prefix("--bench-json=") {
+            bench_json = Some(value.into());
         } else if arg.starts_with("--") {
             eprintln!("unknown flag: {arg}");
             std::process::exit(2);
@@ -61,9 +72,11 @@ fn main() {
     println!("{}", faults::render(&cells));
 
     // Timing telemetry is nondeterministic, so it goes to stderr only —
-    // stdout must stay byte-identical at any thread count.
-    if let Some(summary) = sweep::session_summary() {
-        eprint!("{summary}");
+    // stdout must stay byte-identical at any thread count. The optional
+    // benchmark record goes to its own file, never to stdout.
+    if let Err(e) = sweep::finish_session(&args.join(" "), bench_json.as_deref()) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 
     let bad = cells.iter().filter(|c| !c.matches()).count();

@@ -282,6 +282,31 @@ pub fn session_summary() -> Option<String> {
     summarize(&take_session())
 }
 
+/// Drain the session registry, print its timing summary to stderr and,
+/// given a path, append its benchmark record (labelled `label`) to the
+/// JSON array there — the end of every harness binary's run. Nothing goes
+/// to stdout, which must stay byte-identical at any thread count.
+///
+/// # Errors
+///
+/// Any I/O error appending the record, with the path in its message.
+pub fn finish_session(label: &str, bench_json: Option<&std::path::Path>) -> std::io::Result<()> {
+    let pools = take_session();
+    if let Some(summary) = summarize(&pools) {
+        eprint!("{summary}");
+    }
+    if let Some(path) = bench_json {
+        append_bench_json(path, &bench_record_json(label, threads(), &pools)).map_err(|e| {
+            std::io::Error::new(
+                e.kind(),
+                format!("cannot write benchmark record to {}: {e}", path.display()),
+            )
+        })?;
+        eprintln!("benchmark record appended to {}", path.display());
+    }
+    Ok(())
+}
+
 /// Minimal JSON string escaping (quotes, backslashes, control bytes) —
 /// the vendored tree has no JSON crate, and the benchmark records only
 /// need scalars and flat objects.

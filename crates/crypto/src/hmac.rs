@@ -1,9 +1,13 @@
-//! HMAC-SHA256, the keyed MAC behind per-block MACs and attestation reports.
+//! HMAC-SHA256, the keyed MAC behind attestation reports and sensor
+//! records, and the definition the per-block MAC follows.
 //!
 //! [`HmacSha256`] absorbs the `key ⊕ ipad` and `key ⊕ opad` blocks once,
 //! when it is keyed, and keeps the two SHA-256 states. Cloning a keyed
 //! context then MACs a short message in the compressions of the message
-//! and the outer digest alone; [`crate::mac::BlockMac`] relies on this.
+//! and the outer digest alone. [`crate::mac::BlockMac`] keeps the same two
+//! states itself and, since its message length is fixed, lays out the
+//! padding blocks directly instead of streaming through `update`; its
+//! tags are checked against [`hmac_sha256`].
 
 use crate::sha256::{sha256, Sha256};
 

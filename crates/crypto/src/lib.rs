@@ -14,12 +14,14 @@
 //!   the baseline engine's cipher (§II-B, Fig. 1).
 //! * [`xts`] — AES-XTS encryption of 64 B blocks, the tree-less engine's
 //!   cipher ("the entire DRAM ... is encrypted with AES-XTS similar to Intel
-//!   Total Memory Encryption", §IV-C).
+//!   Total Memory Encryption", §IV-C); tweaks are little-endian `u128`s.
 //! * [`sha256`] / [`hmac`] — hash and keyed MAC used for per-block MACs,
 //!   integrity-tree nodes, and enclave measurement; [`hmac::HmacSha256`]
 //!   keeps its keyed inner/outer states so clones skip the pad blocks.
 //! * [`mac`] — the 8-byte per-block MAC binding (content, address, version),
-//!   exactly the construction of Fig. 12.
+//!   exactly the construction of Fig. 12: HMAC-SHA256 in three direct
+//!   compressions from keyed states, with [`mac::MacPrefix`] sharing the
+//!   data-block compression across many (address, version) probes.
 //!
 //! Every functional memory, attack cell and simulator golden is built on
 //! the exact bytes these primitives produce, so their speed work is held

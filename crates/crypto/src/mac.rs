@@ -11,12 +11,25 @@
 //! guaranteed by the counter tree instead of by software).
 //!
 //! The tag is the first 8 bytes of `HMAC-SHA256(key, data ‖ addr ‖
-//! version)` with both integers little-endian. [`BlockMac`] keys one
-//! [`HmacSha256`] at construction and clones it per tag, so a tag costs
-//! three SHA-256 compressions (data block, address/version/padding, outer
-//! digest) instead of the five of keying from scratch.
+//! version)` with both integers little-endian. [`BlockMac`] absorbs the
+//! `key ⊕ ipad` and `key ⊕ opad` blocks once, at construction, and keeps
+//! the two SHA-256 states. Every message has the same length, so a tag is
+//! three direct compressions with fixed padding: the data block, one block
+//! holding the address, the version and the inner padding, and the outer
+//! block holding the inner digest and its padding.
+//!
+//! [`BlockMac::prefix`] stops after the data block. A caller that tries
+//! one block under many (address, version) pairs — the mismatch diagnosis
+//! probes 16 versions — compresses the data once and pays two compressions
+//! per [`MacPrefix::tag`].
 
-use crate::hmac::HmacSha256;
+use crate::sha256::{Sha256, H0};
+
+/// Bit length of the inner message: the ipad block, the 64 B data block,
+/// and the 8 B address and 8 B version.
+const INNER_BITS: u64 = (64 + 64 + 16) * 8;
+/// Bit length of the outer message: the opad block and the inner digest.
+const OUTER_BITS: u64 = (64 + 32) * 8;
 
 /// An 8-byte truncated MAC tag as stored in the MAC region of DRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -33,8 +46,10 @@ impl MacTag {
 /// Computes and verifies per-block MACs under a fixed key.
 #[derive(Clone)]
 pub struct BlockMac {
-    /// HMAC context keyed once; each tag clones it.
-    keyed: HmacSha256,
+    /// SHA-256 state after `key ⊕ ipad`; absorbs the message.
+    inner: [u32; 8],
+    /// SHA-256 state after `key ⊕ opad`; absorbs the inner digest.
+    outer: [u32; 8],
 }
 
 impl std::fmt::Debug for BlockMac {
@@ -47,22 +62,35 @@ impl BlockMac {
     /// Create a MAC engine under `key`.
     #[must_use]
     pub fn new(key: crate::Key128) -> Self {
+        let mut block_key = [0u8; 64];
+        block_key[..key.0.len()].copy_from_slice(&key.0);
+        let keyed = |pad: u8| {
+            let mut state = H0;
+            Sha256::compress(&mut state, &block_key.map(|b| b ^ pad));
+            state
+        };
         BlockMac {
-            keyed: HmacSha256::new(&key.0),
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
+        }
+    }
+
+    /// Absorb the data block: the part of every tag over `data` that does
+    /// not depend on the address or the version.
+    #[must_use]
+    pub fn prefix(&self, data: &[u8; 64]) -> MacPrefix {
+        let mut inner = self.inner;
+        Sha256::compress(&mut inner, data);
+        MacPrefix {
+            inner,
+            outer: self.outer,
         }
     }
 
     /// MAC of `(data, addr, version)` truncated to 8 bytes (Fig. 12 (a)).
     #[must_use]
     pub fn tag(&self, addr: u64, version: u64, data: &[u8; 64]) -> MacTag {
-        let mut mac = self.keyed.clone();
-        mac.update(data);
-        mac.update(&addr.to_le_bytes());
-        mac.update(&version.to_le_bytes());
-        let full = mac.finalize();
-        let mut tag = [0u8; 8];
-        tag.copy_from_slice(&full[..8]);
-        MacTag(tag)
+        self.prefix(data).tag(addr, version)
     }
 
     /// Verify a fetched block against its stored tag (Fig. 12 (b)).
@@ -72,6 +100,53 @@ impl BlockMac {
     #[must_use]
     pub fn verify(&self, addr: u64, version: u64, data: &[u8; 64], stored: MacTag) -> bool {
         self.tag(addr, version, data) == stored
+    }
+}
+
+/// A [`BlockMac`] that has absorbed one data block, from
+/// [`BlockMac::prefix`]; each [`tag`](MacPrefix::tag) finishes it under
+/// one address and version.
+#[derive(Clone)]
+pub struct MacPrefix {
+    /// Inner SHA-256 state after the ipad and data blocks.
+    inner: [u32; 8],
+    /// SHA-256 state after `key ⊕ opad`.
+    outer: [u32; 8],
+}
+
+impl std::fmt::Debug for MacPrefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Both states are derived from the key; never print them.
+        f.debug_struct("MacPrefix").finish_non_exhaustive()
+    }
+}
+
+impl MacPrefix {
+    /// The tag of the absorbed block at `addr` under `version`: equal to
+    /// [`BlockMac::tag`] over the same three inputs.
+    #[must_use]
+    pub fn tag(&self, addr: u64, version: u64) -> MacTag {
+        let mut block = [0u8; 64];
+        block[..8].copy_from_slice(&addr.to_le_bytes());
+        block[8..16].copy_from_slice(&version.to_le_bytes());
+        block[16] = 0x80;
+        block[56..].copy_from_slice(&INNER_BITS.to_be_bytes());
+        let mut inner = self.inner;
+        Sha256::compress(&mut inner, &block);
+
+        let mut block = [0u8; 64];
+        for (chunk, word) in block.chunks_exact_mut(4).zip(inner) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        block[32] = 0x80;
+        block[56..].copy_from_slice(&OUTER_BITS.to_be_bytes());
+        let mut outer = self.outer;
+        Sha256::compress(&mut outer, &block);
+
+        let mut tag = [0u8; 8];
+        tag[..4].copy_from_slice(&outer[0].to_be_bytes());
+        tag[4..].copy_from_slice(&outer[1].to_be_bytes());
+        MacTag(tag)
     }
 }
 
@@ -146,8 +221,9 @@ mod tests {
     }
 
     proptest! {
-        /// A tag from the pre-keyed context is the truncated one-shot HMAC
-        /// of `data ‖ addr ‖ version` (little-endian) under the raw key.
+        /// A tag from the pre-keyed states, whole or from a data prefix, is
+        /// the truncated one-shot HMAC of `data ‖ addr ‖ version`
+        /// (little-endian) under the raw key.
         #[test]
         fn tag_equals_truncated_hmac(
             key in prop::collection::vec(any::<u8>(), 16),
@@ -161,8 +237,10 @@ mod tests {
             message.extend_from_slice(&addr.to_le_bytes());
             message.extend_from_slice(&version.to_le_bytes());
             let full = hmac_sha256(&key, &message);
-            let tag = BlockMac::new(Key128(key)).tag(addr, version, &data);
+            let mac = BlockMac::new(Key128(key));
+            let tag = mac.tag(addr, version, &data);
             prop_assert_eq!(&tag.0[..], &full[..8]);
+            prop_assert_eq!(mac.prefix(&data).tag(addr, version), tag);
         }
     }
 
@@ -170,5 +248,9 @@ mod tests {
     fn debug_does_not_leak_key() {
         let s = format!("{:?}", engine());
         assert!(!s.contains("key"));
+        // Any key-derived SHA-256 state would render as numbers.
+        let s = format!("{:?}", engine().prefix(&[6u8; 64]));
+        let fields = s.trim_start_matches("MacPrefix");
+        assert!(!fields.chars().any(|c| c.is_ascii_digit()), "{s}");
     }
 }

@@ -12,7 +12,8 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+/// The SHA-256 initial hash value.
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -53,7 +54,10 @@ impl Sha256 {
         }
     }
 
-    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    /// Absorb one 64-byte block into `state` (the SHA-256 compression
+    /// function). [`crate::mac::BlockMac`] calls it directly on blocks
+    /// whose padding it lays out itself.
+    pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));

@@ -8,22 +8,19 @@
 //! metadata caches are required — that is exactly the property TNPU exploits.
 //!
 //! Each 64 B memory block is one XTS "data unit" of four 16 B AES blocks.
+//! A tweak is held as a little-endian `u128` (IEEE 1619 byte order), so
+//! multiplying it by α is one shift and a conditional XOR of `0x87`. The
+//! four tweaks of a unit are computed up front and XORed in as words.
 
 use crate::aes::Aes128;
 use crate::Key128;
 
-/// Multiply an element of GF(2¹²⁸) by α (the XTS tweak update), little-endian
-/// byte order per IEEE 1619.
-fn gf128_mul_alpha(tweak: &mut [u8; 16]) {
-    let mut carry = 0u8;
-    for byte in tweak.iter_mut() {
-        let new_carry = *byte >> 7;
-        *byte = (*byte << 1) | carry;
-        carry = new_carry;
-    }
-    if carry != 0 {
-        tweak[0] ^= 0x87;
-    }
+/// Multiply an element of GF(2¹²⁸), held as a little-endian `u128`, by α
+/// (the XTS tweak update): shift left one bit and reduce by
+/// x¹²⁸ = x⁷ + x² + x + 1 when bit 127 falls out.
+fn mul_alpha(tweak: u128) -> u128 {
+    let reduce = if tweak >> 127 == 0 { 0 } else { 0x87 };
+    (tweak << 1) ^ reduce
 }
 
 /// AES-XTS encryptor for 64-byte blocks.
@@ -53,46 +50,35 @@ impl XtsMode {
         XtsMode::new(Key128::derive(&data_label), Key128::derive(&tweak_label))
     }
 
-    fn initial_tweak(&self, unit: u64) -> [u8; 16] {
-        let mut t = [0u8; 16];
-        t[..8].copy_from_slice(&unit.to_le_bytes());
-        self.tweak_cipher.encrypt_block(&mut t);
-        t
+    /// The tweaks of the four 16 B blocks of data unit `unit`: the
+    /// encrypted unit number, then three multiplications by α.
+    fn tweaks(&self, unit: u64) -> [u128; 4] {
+        let t0 = u128::from_le_bytes(self.tweak_cipher.encrypt(u128::from(unit).to_le_bytes()));
+        let t1 = mul_alpha(t0);
+        let t2 = mul_alpha(t1);
+        [t0, t1, t2, mul_alpha(t2)]
+    }
+
+    /// Run `cipher` over each 16 B block of `block` between two XORs with
+    /// its tweak.
+    fn apply(&self, unit: u64, block: &mut [u8; 64], cipher: impl Fn(&mut [u8; 16])) {
+        for (chunk, tweak) in block.chunks_exact_mut(16).zip(self.tweaks(unit)) {
+            let word = u128::from_le_bytes(chunk.try_into().expect("16-byte chunk"));
+            let mut b = (word ^ tweak).to_le_bytes();
+            cipher(&mut b);
+            chunk.copy_from_slice(&(u128::from_le_bytes(b) ^ tweak).to_le_bytes());
+        }
     }
 
     /// Encrypt a 64-byte block in place; `unit` is the data-unit number
     /// (the 64 B block address divided by 64).
     pub fn encrypt_block(&self, unit: u64, block: &mut [u8; 64]) {
-        let mut tweak = self.initial_tweak(unit);
-        for chunk in block.chunks_exact_mut(16) {
-            let mut b: [u8; 16] = chunk.try_into().expect("16-byte chunk");
-            for (x, t) in b.iter_mut().zip(tweak.iter()) {
-                *x ^= t;
-            }
-            self.data_cipher.encrypt_block(&mut b);
-            for (x, t) in b.iter_mut().zip(tweak.iter()) {
-                *x ^= t;
-            }
-            chunk.copy_from_slice(&b);
-            gf128_mul_alpha(&mut tweak);
-        }
+        self.apply(unit, block, |b| self.data_cipher.encrypt_block(b));
     }
 
     /// Decrypt a 64-byte block in place.
     pub fn decrypt_block(&self, unit: u64, block: &mut [u8; 64]) {
-        let mut tweak = self.initial_tweak(unit);
-        for chunk in block.chunks_exact_mut(16) {
-            let mut b: [u8; 16] = chunk.try_into().expect("16-byte chunk");
-            for (x, t) in b.iter_mut().zip(tweak.iter()) {
-                *x ^= t;
-            }
-            self.data_cipher.decrypt_block(&mut b);
-            for (x, t) in b.iter_mut().zip(tweak.iter()) {
-                *x ^= t;
-            }
-            chunk.copy_from_slice(&b);
-            gf128_mul_alpha(&mut tweak);
-        }
+        self.apply(unit, block, |b| self.data_cipher.decrypt_block(b));
     }
 
     /// Encrypt a copy of `block`.
@@ -107,6 +93,21 @@ impl XtsMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-wise tweak update the `u128` one replaced: multiply by α
+    /// in little-endian byte order per IEEE 1619.
+    fn gf128_mul_alpha(tweak: &mut [u8; 16]) {
+        let mut carry = 0u8;
+        for byte in tweak.iter_mut() {
+            let new_carry = *byte >> 7;
+            *byte = (*byte << 1) | carry;
+            carry = new_carry;
+        }
+        if carry != 0 {
+            tweak[0] ^= 0x87;
+        }
+    }
 
     fn engine() -> XtsMode {
         XtsMode::from_master(Key128::derive(b"xts-test"))
@@ -201,6 +202,28 @@ mod tests {
         t[0] = 0x01;
         gf128_mul_alpha(&mut t);
         assert_eq!(t[0], 0x02);
+    }
+
+    proptest! {
+        /// The `u128` tweak chain equals the byte-wise update, step for
+        /// step, from any starting tweak; `high` forces bit 127 so that
+        /// the first step reduces.
+        #[test]
+        fn u128_tweak_chain_equals_bytewise(
+            start in prop::collection::vec(any::<u8>(), 16),
+            high in any::<bool>(),
+        ) {
+            let mut bytes: [u8; 16] = start.try_into().expect("16 bytes");
+            if high {
+                bytes[15] |= 0x80;
+            }
+            let mut word = u128::from_le_bytes(bytes);
+            for _ in 0..8 {
+                gf128_mul_alpha(&mut bytes);
+                word = mul_alpha(word);
+                prop_assert_eq!(word.to_le_bytes(), bytes);
+            }
+        }
     }
 
     #[test]

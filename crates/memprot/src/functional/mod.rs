@@ -11,6 +11,7 @@
 
 pub mod dram;
 pub mod encrypt_only;
+mod store;
 pub mod tree;
 pub mod treeless;
 pub mod unsecure;
@@ -23,7 +24,8 @@ pub use unsecure::UnsecureMemory;
 
 use crate::counters::SplitCounterBlock;
 use crate::SchemeKind;
-use tnpu_crypto::mac::MacTag;
+use store::PagedStore;
+use tnpu_crypto::mac::{MacPrefix, MacTag};
 use tnpu_crypto::Key128;
 use tnpu_sim::{Addr, BLOCK_SIZE};
 
@@ -277,6 +279,43 @@ fn flip_bits(dram: &mut RawDram, addr: Addr, bits: &[u16]) -> bool {
         block[byte] ^= 1 << (bit % 8);
     }
     true
+}
+
+/// The version step of a MAC-mismatch diagnosis: whether `tag` verifies
+/// the block absorbed in `prefix` at `addr` under a version (or counter)
+/// within `window` of `expected`. It probes nearest first, below before
+/// above, at two compressions a probe, since the data block was absorbed
+/// once.
+fn verifies_nearby(
+    prefix: &MacPrefix,
+    addr: Addr,
+    expected: u64,
+    window: u64,
+    tag: MacTag,
+) -> bool {
+    (1..=window).any(|delta| {
+        [expected.checked_sub(delta), expected.checked_add(delta)]
+            .into_iter()
+            .flatten()
+            .any(|v| prefix.tag(addr.0, v) == tag)
+    })
+}
+
+/// The address step of a MAC-mismatch diagnosis: whether the identical
+/// `(ct, tag)` pair is stored intact at a block other than `addr`, i.e.
+/// was relocated or spliced to it. A compare loop over the tag slots finds
+/// the candidates, and each one's ciphertext is checked.
+fn stored_elsewhere(
+    dram: &RawDram,
+    macs: &PagedStore<MacTag>,
+    addr: Addr,
+    ct: &[u8; BLOCK_SIZE],
+    tag: MacTag,
+) -> bool {
+    let unit = addr.block().0;
+    macs.units_holding(tag)
+        .filter(|&other| other != unit)
+        .any(|other| dram.read_block(Addr(other * BLOCK_SIZE as u64)).as_ref() == Some(ct))
 }
 
 #[cfg(test)]

@@ -16,14 +16,18 @@
 //! returns what the eager tree would return.
 
 use super::dram::RawDram;
-use super::{flip_bits, BlockCapture, FunctionalMemory, IntegrityError, MismatchCause};
+use super::store::PagedStore;
+use super::{
+    flip_bits, stored_elsewhere, verifies_nearby, BlockCapture, FunctionalMemory, IntegrityError,
+    MismatchCause,
+};
 use crate::counters::{Bump, SplitCounterBlock};
 use crate::tree::TreeGeometry;
 use crate::SchemeKind;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use tnpu_crypto::ctr::CtrMode;
-use tnpu_crypto::mac::{BlockMac, MacTag};
+use tnpu_crypto::mac::{BlockMac, MacPrefix, MacTag};
 use tnpu_crypto::sha256::sha256;
 use tnpu_crypto::Key128;
 use tnpu_sim::{Addr, BLOCK_SIZE};
@@ -47,7 +51,7 @@ use tnpu_sim::{Addr, BLOCK_SIZE};
 #[derive(Debug)]
 pub struct CounterTreeMemory {
     dram: RawDram,
-    macs: BTreeMap<u64, MacTag>,
+    macs: PagedStore<MacTag>,
     /// DRAM-resident SC-64 split-counter blocks, one per 64 data blocks.
     counters: BTreeMap<u64, SplitCounterBlock>,
     /// Nodes, root and pending leaves. Reads take `&self` and still flush.
@@ -145,7 +149,7 @@ impl CounterTreeMemory {
         ctr_label.extend_from_slice(&master.0);
         CounterTreeMemory {
             dram: RawDram::new(),
-            macs: BTreeMap::new(),
+            macs: PagedStore::new(MacTag::default()),
             counters: BTreeMap::new(),
             tree: RefCell::default(),
             geometry,
@@ -159,36 +163,23 @@ impl CounterTreeMemory {
     /// Classify a MAC mismatch (failure path only). The tree has already
     /// verified the counter path, so most failures are content tampering —
     /// but a spliced pair still reads as an address mismatch, and a pair
-    /// valid under a nearby counter as a (tree-escaped) replay.
+    /// valid under a nearby counter as a (tree-escaped) replay. `prefix`
+    /// has absorbed the stored ciphertext `ct`.
     fn diagnose(
         &self,
         addr: Addr,
         counter: u64,
+        prefix: &MacPrefix,
         ct: &[u8; BLOCK_SIZE],
         tag: MacTag,
     ) -> MismatchCause {
-        for delta in 1..=COUNTER_PROBE_WINDOW {
-            for c in [counter.checked_sub(delta), counter.checked_add(delta)]
-                .into_iter()
-                .flatten()
-            {
-                if self.mac.verify(addr.0, c, ct, tag) {
-                    return MismatchCause::Version;
-                }
-            }
+        if verifies_nearby(prefix, addr, counter, COUNTER_PROBE_WINDOW, tag) {
+            MismatchCause::Version
+        } else if stored_elsewhere(&self.dram, &self.macs, addr, ct, tag) {
+            MismatchCause::Address
+        } else {
+            MismatchCause::Content
         }
-        let unit = addr.block().0;
-        for (&other, &other_tag) in &self.macs {
-            if other == unit || other_tag != tag {
-                continue;
-            }
-            if let Some(other_ct) = self.dram.read_block(Addr(other * BLOCK_SIZE as u64)) {
-                if other_ct == *ct {
-                    return MismatchCause::Address;
-                }
-            }
-        }
-        MismatchCause::Content
     }
 
     fn counter_block_of(&self, block: u64) -> u64 {
@@ -334,13 +325,14 @@ impl CounterTreeMemory {
         self.verify_path(self.counter_block_of(block))?;
         let tag = self
             .macs
-            .get(&block)
+            .get(block)
             .copied()
             .ok_or(IntegrityError::NotWritten { addr: addr.0 })?;
-        if !self.mac.verify(addr.0, counter, &ct, tag) {
+        let prefix = self.mac.prefix(&ct);
+        if prefix.tag(addr.0, counter) != tag {
             return Err(IntegrityError::MacMismatch {
                 addr: addr.0,
-                cause: self.diagnose(addr, counter, &ct, tag),
+                cause: self.diagnose(addr, counter, &prefix, &ct, tag),
             });
         }
         let mut pt = ct;
@@ -381,7 +373,7 @@ impl CounterTreeMemory {
         let cb = self.counter_block_of(block);
         Some(TreeSnapshot {
             ciphertext: self.dram.read_block(addr)?,
-            mac: self.macs.get(&block).copied()?,
+            mac: self.macs.get(block).copied()?,
             counter_block: self.counters.get(&cb)?.clone(),
         })
     }
@@ -460,7 +452,7 @@ impl FunctionalMemory for CounterTreeMemory {
         let Some(ct) = self.dram.read_block(donor) else {
             return false;
         };
-        let Some(mac) = self.macs.get(&donor.block().0).copied() else {
+        let Some(mac) = self.macs.get(donor.block().0).copied() else {
             return false;
         };
         self.dram.write_block(victim, ct);
@@ -469,7 +461,7 @@ impl FunctionalMemory for CounterTreeMemory {
     }
 
     fn substitute_mac(&mut self, victim: Addr, donor: Addr) -> bool {
-        let Some(mac) = self.macs.get(&donor.block().0).copied() else {
+        let Some(mac) = self.macs.get(donor.block().0).copied() else {
             return false;
         };
         self.macs.insert(victim.block().0, mac);
