@@ -166,10 +166,10 @@ where
         }
     } else {
         let cursor = AtomicUsize::new(0);
-        let batches: Vec<Vec<(usize, R, Duration)>> = crossbeam::thread::scope(|scope| {
+        let batches: Vec<Vec<(usize, R, Duration)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..width)
                 .map(|_| {
-                    scope.spawn(|_| {
+                    scope.spawn(|| {
                         let mut mine = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -186,8 +186,7 @@ where
                 .into_iter()
                 .map(|h| h.join().expect("worker panicked"))
                 .collect()
-        })
-        .expect("pool scope");
+        });
         for (i, result, wall) in batches.into_iter().flatten() {
             slots[i] = Some((result, wall));
         }

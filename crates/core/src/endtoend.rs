@@ -20,7 +20,7 @@ use tnpu_npu::{tiler, NpuConfig};
 use tnpu_sim::{Addr, Cycles};
 
 /// Phase breakdown of one end-to-end request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EndToEndReport {
     /// Scheme used.
     pub scheme: SchemeKind,

@@ -21,7 +21,7 @@ pub const SRAM_MW_PER_KB: f64 = 0.52;
 pub const EXYNOS_990_MM2: f64 = 103.0;
 
 /// Bill of materials for a protection engine.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwCost {
     /// Engine name.
     pub name: &'static str,

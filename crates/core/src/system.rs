@@ -36,7 +36,7 @@ impl From<RunError> for SystemError {
 }
 
 /// Timing result of one inference on the system.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemReport {
     /// End-to-end NPU cycles.
     pub total_time: Cycles,

@@ -16,14 +16,13 @@
 //! of the tokens, [`rules`] pattern-match the token stream per file, and
 //! [`symbols`]/[`callgraph`] assemble a workspace-wide call graph for the
 //! semantic rule families (engine-bypass reachability, panic-path audit,
-//! error-variant consumption). The driver here analyzes files on a worker
-//! pool with a content-hash parse cache under `target/tnpu-lint/`, then
-//! scopes each finding by path (defaults overridable via `lint.toml`,
-//! parsed by [`config`]) and filters through allow comments and test-region
-//! exemptions — tracking which allow comments actually fired, so stale
-//! justifications can be denied (`--deny-unused-allows`).
+//! error-variant consumption). [`lint_root`] reads and analyzes every
+//! file in one sequential pass, then scopes each finding by path (defaults
+//! overridable via `lint.toml`, parsed by [`config`]) and filters through
+//! allow comments and test-region exemptions — tracking which allow
+//! comments actually fired, so stale justifications can be denied
+//! (`--deny-unused-allows`).
 
-pub mod cache;
 pub mod callgraph;
 pub mod config;
 pub mod lexer;
@@ -35,12 +34,10 @@ pub mod symbols;
 use config::{path_under, Config};
 use parser::ParsedFile;
 use rules::RULES;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::path::Path;
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -53,15 +50,6 @@ pub struct Diagnostic {
     pub rule: &'static str,
     /// Explanation and suggested fix.
     pub message: String,
-}
-
-impl Diagnostic {
-    /// Line-independent identity used by `--baseline` ratcheting: moving a
-    /// finding within a file must not count as a new finding.
-    #[must_use]
-    pub fn baseline_key(&self) -> String {
-        format!("{}: {}: {}", self.path, self.rule, self.message)
-    }
 }
 
 impl std::fmt::Display for Diagnostic {
@@ -78,43 +66,36 @@ impl std::fmt::Display for Diagnostic {
 pub const UNUSED_ALLOW_RULE: &str = "unused-allow";
 
 /// Everything the analysis extracts from one file, independent of
-/// configuration — scope filtering, allow filtering, and the semantic
-/// rules all run downstream of this, so a cached record stays valid across
-/// `lint.toml` edits.
-#[derive(Debug, Default)]
-pub struct FileRecord {
-    /// Item-level parse (functions, calls, enums, uses, path refs).
-    pub parsed: ParsedFile,
-    /// Lexer side tables (allow comments, comment/attr lines, test
-    /// regions); `tokens` is empty — records never carry the token stream.
-    pub side: lexer::LexedFile,
-    /// Raw lexical findings for *every* rule, pre scope/allow filtering:
-    /// `(rule id, line, message)`.
-    pub lexical: Vec<(String, u32, String)>,
-}
-
-/// One analyzed file.
+/// configuration: scope filtering, allow filtering, and the semantic rules
+/// all run downstream of this.
 #[derive(Debug)]
 pub struct AnalyzedFile {
     /// Workspace-relative, `/`-separated path.
     pub path: String,
-    /// Analysis record (parsed items + raw findings).
-    pub record: FileRecord,
+    /// Item-level parse (functions, calls, enums, uses, path refs).
+    pub parsed: ParsedFile,
+    /// Lexer side tables (allow comments, comment/attr lines, test
+    /// regions); `tokens` is empty, as nothing downstream reads it.
+    pub side: lexer::LexedFile,
+    /// Raw lexical findings for *every* rule, pre scope/allow filtering:
+    /// `(rule id, line, message)`.
+    pub lexical: Vec<(&'static str, u32, String)>,
 }
 
 /// Analyze one file's source: lex, parse, and run every lexical rule.
 #[must_use]
-pub fn analyze_source(path: &str, src: &str) -> FileRecord {
+pub fn analyze_source(path: &str, src: &str) -> AnalyzedFile {
     let mut lexed = lexer::lex(src);
     let parsed = parser::parse(&lexed);
     let mut lexical = Vec::new();
     for rule in RULES {
         for finding in (rule.check)(&lexed, path) {
-            lexical.push((rule.id.to_owned(), finding.line, finding.message));
+            lexical.push((rule.id, finding.line, finding.message));
         }
     }
     lexed.tokens = Vec::new();
-    FileRecord {
+    AnalyzedFile {
+        path: path.to_owned(),
         parsed,
         side: lexed,
         lexical,
@@ -225,19 +206,6 @@ pub(crate) fn in_test_dir(path: &str) -> bool {
         .any(|c| matches!(c, "tests" | "benches" | "examples" | "fixtures"))
 }
 
-/// Driver statistics for `--stats` and the cache-correctness tests.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DriverStats {
-    /// Total files linted.
-    pub files: usize,
-    /// Files whose records came from the parse cache.
-    pub cached: usize,
-    /// Files analyzed from source this run.
-    pub analyzed: usize,
-    /// Effective worker-thread count (after the `0` = auto default).
-    pub threads: usize,
-}
-
 /// A full lint run's output.
 #[derive(Debug)]
 pub struct Report {
@@ -246,8 +214,6 @@ pub struct Report {
     /// Allow comments that never suppressed anything ([`UNUSED_ALLOW_RULE`]
     /// pseudo-diagnostics), sorted.
     pub unused_allows: Vec<Diagnostic>,
-    /// Cache/parallelism statistics.
-    pub stats: DriverStats,
 }
 
 /// Apply scoping, test-region, and allow filtering to raw findings and run
@@ -261,10 +227,8 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
 
     // Lexical findings.
     for (fi, file) in files.iter().enumerate() {
-        for (rule_id, line, message) in &file.record.lexical {
-            let Some(rule) = rules::rule_by_id(rule_id) else {
-                continue; // stale id: a cache record this old fails to load
-            };
+        for (rule_id, line, message) in &file.lexical {
+            let rule = rules::rule_by_id(rule_id).expect("lexical rules are registered");
             if !scope_applies(
                 config,
                 rule.id,
@@ -275,10 +239,10 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
             ) {
                 continue;
             }
-            if rule.exempt_tests && file.record.side.in_test_region(*line) {
+            if rule.exempt_tests && file.side.in_test_region(*line) {
                 continue;
             }
-            if let Some(allow_line) = file.record.side.allow_line_for(rule.id, *line) {
+            if let Some(allow_line) = file.side.allow_line_for(rule.id, *line) {
                 used_allows.insert((fi, allow_line, rule.id.to_owned()));
                 continue;
             }
@@ -296,8 +260,8 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
         .iter()
         .map(|f| symbols::FileEntry {
             path: f.path.clone(),
-            parsed: f.record.parsed.clone(),
-            test_regions: f.record.side.test_regions.clone(),
+            parsed: f.parsed.clone(),
+            test_regions: f.side.test_regions.clone(),
         })
         .collect();
     let ws = symbols::Workspace::build(entries);
@@ -314,10 +278,10 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
         ) {
             continue;
         }
-        if rule.exempt_tests && file.record.side.in_test_region(finding.line) {
+        if rule.exempt_tests && file.side.in_test_region(finding.line) {
             continue;
         }
-        if let Some(allow_line) = file.record.side.allow_line_for(rule.id, finding.line) {
+        if let Some(allow_line) = file.side.allow_line_for(rule.id, finding.line) {
             used_allows.insert((finding.file, allow_line, rule.id.to_owned()));
             continue;
         }
@@ -339,8 +303,8 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
         if in_test_dir(&file.path) {
             continue;
         }
-        for (line, rule_ids) in &file.record.side.allows {
-            if file.record.side.in_test_region(*line) {
+        for (line, rule_ids) in &file.side.allows {
+            if file.side.in_test_region(*line) {
                 continue;
             }
             for rule_id in rule_ids {
@@ -364,23 +328,16 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
     Report {
         diagnostics,
         unused_allows,
-        stats: DriverStats {
-            files: files.len(),
-            ..DriverStats::default()
-        },
     }
 }
 
 /// Lint a set of in-memory sources as one workspace (lexical + semantic
-/// rules, no cache). This is what the fixture tests drive.
+/// rules). This is what the fixture tests drive.
 #[must_use]
 pub fn lint_sources(sources: &[(&str, &str)], config: &Config) -> Vec<Diagnostic> {
     let files: Vec<AnalyzedFile> = sources
         .iter()
-        .map(|(path, src)| AnalyzedFile {
-            path: (*path).to_owned(),
-            record: analyze_source(path, src),
-        })
+        .map(|(path, src)| analyze_source(path, src))
         .collect();
     report(&files, config).diagnostics
 }
@@ -394,37 +351,23 @@ pub fn lint_file(path: &str, src: &str, config: &Config) -> Vec<Diagnostic> {
     lint_sources(&[(path, src)], config)
 }
 
-/// Driver knobs for [`lint_root`].
-#[derive(Debug, Default, Clone)]
-pub struct DriverOptions {
-    /// Worker threads; `0` = one per CPU, capped at 8.
-    pub threads: usize,
-    /// Parse-cache directory (conventionally `<root>/target/tnpu-lint`);
-    /// `None` disables the cache.
-    pub cache_dir: Option<PathBuf>,
-}
-
-impl DriverOptions {
-    /// The conventional cache location for a workspace root.
-    #[must_use]
-    pub fn with_default_cache(root: &Path) -> Self {
-        DriverOptions {
-            threads: 0,
-            cache_dir: Some(root.join("target/tnpu-lint")),
-        }
-    }
-}
-
-/// Lint every `.rs` file under `root`'s configured roots: parallel
-/// analysis with the parse cache, then workspace-wide reporting. Output is
-/// deterministic (sorted) regardless of thread count or cache state.
+/// Lint every `.rs` file under `root`'s configured roots: read and
+/// analyze each file in turn, then report workspace-wide. Output is
+/// deterministic (sorted).
+///
+/// A configured root that does not exist is skipped, but a missing `root`
+/// or a walk that finds no `.rs` file at all is an error: a run over
+/// nothing would otherwise report a clean workspace.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the directory walk; unreadable files are
-/// errors, not skips, so CI cannot silently under-lint. Cache read/write
-/// failures are never errors — the cache is best-effort.
-pub fn lint_root(root: &Path, config: &Config, opts: &DriverOptions) -> io::Result<Report> {
+/// A missing `root`, an empty walk, and I/O errors from the walk;
+/// unreadable files are errors, not skips, so CI cannot silently
+/// under-lint.
+pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
+    if !root.is_dir() {
+        return Err(io::Error::new(io::ErrorKind::NotFound, "not a directory"));
+    }
     let mut paths = Vec::new();
     for top in &config.roots {
         let dir = root.join(top);
@@ -432,145 +375,22 @@ pub fn lint_root(root: &Path, config: &Config, opts: &DriverOptions) -> io::Resu
             collect_rs_files(&dir, root, config, &mut paths)?;
         }
     }
+    if paths.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "no `.rs` file under the configured roots ({})",
+                config.roots.join(", ")
+            ),
+        ));
+    }
     paths.sort();
     paths.dedup();
-    let sources: Vec<(String, String)> = paths
-        .into_iter()
-        .map(|rel| {
-            let src = fs::read_to_string(root.join(&rel))?;
-            Ok((rel, src))
-        })
+    let files: Vec<AnalyzedFile> = paths
+        .iter()
+        .map(|rel| Ok(analyze_source(rel, &fs::read_to_string(root.join(rel))?)))
         .collect::<io::Result<_>>()?;
-
-    if let Some(dir) = &opts.cache_dir {
-        fs::create_dir_all(dir).ok();
-    }
-    let threads = match opts.threads {
-        0 => std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(8),
-        n => n,
-    }
-    .min(sources.len().max(1));
-
-    let slots: Mutex<Vec<Option<(FileRecord, bool)>>> =
-        Mutex::new((0..sources.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let analyze_one = |idx: usize| {
-        let (path, src) = &sources[idx];
-        let (record, reused) = match opts
-            .cache_dir
-            .as_deref()
-            .and_then(|dir| cache::load(dir, path, src))
-        {
-            Some(record) => (record, true),
-            None => {
-                let record = analyze_source(path, src);
-                if let Some(dir) = opts.cache_dir.as_deref() {
-                    cache::store(dir, path, src, &record);
-                }
-                (record, false)
-            }
-        };
-        slots.lock().expect("no poisoned workers")[idx] = Some((record, reused));
-    };
-    if threads <= 1 {
-        for idx in 0..sources.len() {
-            analyze_one(idx);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= sources.len() {
-                        break;
-                    }
-                    analyze_one(idx);
-                });
-            }
-        });
-    }
-
-    let mut cached = 0usize;
-    let files: Vec<AnalyzedFile> = slots
-        .into_inner()
-        .expect("no poisoned workers")
-        .into_iter()
-        .zip(&sources)
-        .map(|(slot, (path, _))| {
-            let (record, reused) = slot.expect("every slot filled");
-            if reused {
-                cached += 1;
-            }
-            AnalyzedFile {
-                path: path.clone(),
-                record,
-            }
-        })
-        .collect();
-
-    let mut out = report(&files, config);
-    out.stats = DriverStats {
-        files: files.len(),
-        cached,
-        analyzed: files.len() - cached,
-        threads,
-    };
-    Ok(out)
-}
-
-/// Load a baseline file (written by `--write-baseline`) into a multiset of
-/// [`Diagnostic::baseline_key`] entries.
-#[must_use]
-pub fn load_baseline(src: &str) -> BTreeMap<String, usize> {
-    let mut out = BTreeMap::new();
-    for line in src.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        *out.entry(line.to_owned()).or_insert(0) += 1;
-    }
-    out
-}
-
-/// Drop diagnostics already recorded in the baseline (multiset semantics:
-/// two identical findings need two baseline entries; a third is new).
-#[must_use]
-pub fn apply_baseline(
-    diagnostics: Vec<Diagnostic>,
-    baseline: &BTreeMap<String, usize>,
-) -> Vec<Diagnostic> {
-    let mut remaining = baseline.clone();
-    diagnostics
-        .into_iter()
-        .filter(|d| {
-            if let Some(n) = remaining.get_mut(&d.baseline_key()) {
-                if *n > 0 {
-                    *n -= 1;
-                    return false;
-                }
-            }
-            true
-        })
-        .collect()
-}
-
-/// Render diagnostics as baseline-file content.
-#[must_use]
-pub fn render_baseline(diagnostics: &[Diagnostic]) -> String {
-    let mut lines: Vec<String> = diagnostics.iter().map(Diagnostic::baseline_key).collect();
-    lines.sort();
-    let mut out = String::from(
-        "# tnpu-lint baseline: known findings the ratchet tolerates (one per\n\
-         # line, line numbers ignored). Regenerate with --write-baseline.\n",
-    );
-    for l in lines {
-        out.push_str(&l);
-        out.push('\n');
-    }
-    out
+    Ok(report(&files, config))
 }
 
 /// Recursively collect workspace-relative `.rs` paths, honouring the
@@ -718,51 +538,11 @@ mod tests {
                    use std::collections::HashMap;\n\
                    // tnpu-lint: allow(wallclock) — nothing here reads a clock\n\
                    let x = 1;\n";
-        let files = vec![AnalyzedFile {
-            path: "crates/sim/src/x.rs".to_owned(),
-            record: analyze_source("crates/sim/src/x.rs", src),
-        }];
+        let files = vec![analyze_source("crates/sim/src/x.rs", src)];
         let rep = report(&files, &cfg);
         assert!(rep.diagnostics.is_empty(), "{:?}", rep.diagnostics);
         assert_eq!(rep.unused_allows.len(), 1, "{:?}", rep.unused_allows);
         assert_eq!(rep.unused_allows[0].line, 3);
         assert!(rep.unused_allows[0].message.contains("wallclock"));
-    }
-
-    #[test]
-    fn baseline_roundtrip_filters_known_findings_only() {
-        let old = vec![
-            Diagnostic {
-                path: "a.rs".into(),
-                line: 1,
-                rule: "wallclock",
-                message: "m".into(),
-            },
-            Diagnostic {
-                path: "a.rs".into(),
-                line: 9,
-                rule: "wallclock",
-                message: "m".into(),
-            },
-        ];
-        let baseline = load_baseline(&render_baseline(&old));
-        // Same two findings on different lines: both ratcheted away.
-        let moved: Vec<Diagnostic> = old
-            .iter()
-            .map(|d| Diagnostic {
-                line: d.line + 100,
-                ..d.clone()
-            })
-            .collect();
-        assert!(apply_baseline(moved.clone(), &baseline).is_empty());
-        // A third identical finding is new.
-        let mut three = moved;
-        three.push(Diagnostic {
-            path: "a.rs".into(),
-            line: 500,
-            rule: "wallclock",
-            message: "m".into(),
-        });
-        assert_eq!(apply_baseline(three, &baseline).len(), 1);
     }
 }

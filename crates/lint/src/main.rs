@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! tnpu-lint [--root DIR] [--config FILE] [--deny-all] [--list-rules]
-//!           [--format text|sarif] [--baseline FILE] [--write-baseline FILE]
-//!           [--deny-unused-allows] [--threads N] [--no-cache] [--stats]
+//!           [--format text|sarif] [--deny-unused-allows]
 //! ```
 //!
 //! Walks the workspace (default: the current directory), prints one
@@ -13,17 +12,13 @@
 //! SARIF 2.1.0 log with `--format sarif`), and a summary to stderr. Exit
 //! codes: `0` clean (or advisory mode), `1` violations under `--deny-all`
 //! (or stale allows under `--deny-unused-allows`), `2` usage/config/I/O
-//! error.
+//! error, including a missing root or a walk that finds no `.rs` file.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 use tnpu_lint::config::Config;
 use tnpu_lint::rules::{RULES, SEM_RULES};
-use tnpu_lint::{
-    apply_baseline, lint_root, load_baseline, render_baseline, sarif, validate_config,
-    DriverOptions,
-};
+use tnpu_lint::{lint_root, sarif, validate_config};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
@@ -32,11 +27,6 @@ fn main() -> ExitCode {
     let mut deny_unused_allows = false;
     let mut list_rules = false;
     let mut format_sarif = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut threads = 0usize;
-    let mut use_cache = true;
-    let mut stats = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -57,28 +47,13 @@ fn main() -> ExitCode {
                 }
                 None => return usage_error("--format needs text or sarif"),
             },
-            "--baseline" => match args.next() {
-                Some(file) => baseline_path = Some(PathBuf::from(file)),
-                None => return usage_error("--baseline needs a file"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(file) => write_baseline = Some(PathBuf::from(file)),
-                None => return usage_error("--write-baseline needs a file"),
-            },
-            "--threads" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
             "--deny-all" => deny_all = true,
             "--deny-unused-allows" => deny_unused_allows = true,
-            "--no-cache" => use_cache = false,
-            "--stats" => stats = true,
             "--list-rules" => list_rules = true,
             "--help" | "-h" => {
                 println!(
                     "tnpu-lint [--root DIR] [--config FILE] [--deny-all] [--list-rules]\n\
-                     \x20         [--format text|sarif] [--baseline FILE] [--write-baseline FILE]\n\
-                     \x20         [--deny-unused-allows] [--threads N] [--no-cache] [--stats]\n\
+                     \x20         [--format text|sarif] [--deny-unused-allows]\n\
                      Workspace linter for determinism, unit-safety, security, and\n\
                      robustness invariants. See LINTS.md for the rule catalogue."
                 );
@@ -115,43 +90,12 @@ fn main() -> ExitCode {
         return tool_error(&e);
     }
 
-    let baseline = match &baseline_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(src) => Some(load_baseline(&src)),
-            Err(e) => return tool_error(&format!("{}: {e}", path.display())),
-        },
-        None => None,
-    };
-
-    let opts = DriverOptions {
-        threads,
-        cache_dir: use_cache.then(|| root.join("target/tnpu-lint")),
-    };
-    let started = Instant::now();
-    let report = match lint_root(&root, &config, &opts) {
+    let report = match lint_root(&root, &config) {
         Ok(r) => r,
         Err(e) => return tool_error(&format!("walking {}: {e}", root.display())),
     };
-    let elapsed = started.elapsed();
 
-    if let Some(path) = &write_baseline {
-        let content = render_baseline(&report.diagnostics);
-        if let Err(e) = std::fs::write(path, content) {
-            return tool_error(&format!("{}: {e}", path.display()));
-        }
-        eprintln!(
-            "tnpu-lint: wrote baseline with {} finding(s) to {}",
-            report.diagnostics.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let diagnostics = match &baseline {
-        Some(b) => apply_baseline(report.diagnostics, b),
-        None => report.diagnostics,
-    };
-    let mut shown = diagnostics;
+    let mut shown = report.diagnostics;
     if deny_unused_allows {
         shown.extend(report.unused_allows.iter().cloned());
         shown.sort();
@@ -163,16 +107,6 @@ fn main() -> ExitCode {
         for d in &shown {
             println!("{d}");
         }
-    }
-    if stats {
-        eprintln!(
-            "tnpu-lint: {} file(s): {} analyzed, {} from cache; {} thread(s); {:.1} ms",
-            report.stats.files,
-            report.stats.analyzed,
-            report.stats.cached,
-            report.stats.threads,
-            elapsed.as_secs_f64() * 1000.0
-        );
     }
 
     if shown.is_empty() {

@@ -425,8 +425,9 @@ fn check_dram_bypass(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
             out.push(Finding {
                 line: t.line,
                 message: "direct DRAM access bypasses the protection engine (threat-model \
-                          violation); route reads/writes through SecurityEngine, or keep \
-                          physical-attack modelling inside #[cfg(test)]"
+                          violation); route reads/writes through a \
+                          ProtectionEngine/FunctionalMemory method, or keep physical-attack \
+                          modelling inside #[cfg(test)]"
                     .to_owned(),
             });
         }

@@ -113,6 +113,19 @@ fn bypass_fixture_defeats_the_lexical_rule_but_not_the_semantic_one() {
 }
 
 #[test]
+fn dram_bypass_catches_what_engine_bypass_does_not() {
+    // The overlap audit behind keeping both rules: a function handed a
+    // `&mut RawDram` that flips a bit through `block_mut` calls no function
+    // that reaches the sink, so the reachability rule is silent, while the
+    // lexical rule flags both `RawDram` mentions.
+    let src = fixture("dram-bypass", "bad.rs");
+    let dram = sem_lint("dram-bypass", "crates/npu/src/fixture.rs", &src);
+    let engine = sem_lint("engine-bypass", "crates/npu/src/fixture.rs", &src);
+    assert_eq!(dram.len(), 2, "{dram:?}");
+    assert!(engine.is_empty(), "{engine:?}");
+}
+
+#[test]
 fn bad_fixtures_are_flagged() {
     let config = Config::default();
     for (rule, path) in FIXTURES {

@@ -1,7 +1,7 @@
 use tnpu_sim::Addr;
 
-pub fn read(engine: &mut tnpu_memprot::SecurityEngine, addr: Addr) {
-    let _ = engine.read_block(addr, 0);
+pub fn read<M: tnpu_memprot::FunctionalMemory>(mem: &M, addr: Addr) {
+    let _ = mem.read_block(addr, 0);
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use std::process::Command;
 use tnpu_lint::callgraph::API_TYPES;
 use tnpu_lint::config::Config;
 use tnpu_lint::lexer::{lex, TokKind};
-use tnpu_lint::{lint_root, validate_config, DriverOptions};
+use tnpu_lint::{lint_root, validate_config};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -35,7 +35,7 @@ fn the_workspace_lints_clean() {
     let root = workspace_root();
     let config = workspace_config(&root);
     validate_config(&config).expect("config names only known rules and sane patterns");
-    let report = lint_root(&root, &config, &DriverOptions::default()).expect("walk succeeds");
+    let report = lint_root(&root, &config).expect("walk succeeds");
     assert!(
         report.diagnostics.is_empty(),
         "the workspace must lint clean; violations:\n{}",
@@ -105,7 +105,7 @@ fn panic_path_roots_name_declared_structs() {
 fn deny_all_exits_zero_on_the_workspace() {
     let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
         .args(["--root", workspace_root().to_str().expect("utf-8 path")])
-        .args(["--deny-all", "--deny-unused-allows", "--no-cache"])
+        .args(["--deny-all", "--deny-unused-allows"])
         .output()
         .expect("binary runs");
     assert!(
@@ -120,7 +120,7 @@ fn deny_all_exits_nonzero_on_the_bad_workspace() {
     let bad_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws-bad");
     let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
         .args(["--root", bad_root.to_str().expect("utf-8 path")])
-        .args(["--deny-all", "--no-cache"])
+        .arg("--deny-all")
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "--deny-all must fail the build");
@@ -142,7 +142,6 @@ fn advisory_mode_reports_but_exits_zero() {
     let bad_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws-bad");
     let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
         .args(["--root", bad_root.to_str().expect("utf-8 path")])
-        .arg("--no-cache")
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "advisory mode never fails the build");
@@ -184,7 +183,6 @@ fn unknown_rule_in_config_is_a_tool_error() {
     let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
         .args(["--root", bad_root.to_str().expect("utf-8 path")])
         .args(["--config", config.to_str().expect("utf-8 path")])
-        .arg("--no-cache")
         .output()
         .expect("binary runs");
     std::fs::remove_file(&config).ok();
@@ -203,7 +201,6 @@ fn malformed_scope_pattern_in_config_is_a_tool_error() {
     let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
         .args(["--root", bad_root.to_str().expect("utf-8 path")])
         .args(["--config", config.to_str().expect("utf-8 path")])
-        .arg("--no-cache")
         .output()
         .expect("binary runs");
     std::fs::remove_file(&config).ok();
@@ -219,7 +216,7 @@ fn sarif_output_has_the_2_1_0_shape() {
     let bad_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws-bad");
     let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
         .args(["--root", bad_root.to_str().expect("utf-8 path")])
-        .args(["--format", "sarif", "--deny-all", "--no-cache"])
+        .args(["--format", "sarif", "--deny-all"])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "--deny-all still governs exit");
@@ -235,55 +232,43 @@ fn sarif_output_has_the_2_1_0_shape() {
     }
 }
 
+/// Run the binary as the CI gate does, over `root`.
+fn deny_all_over(root: &Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
+        .args(["--root", root.to_str().expect("utf-8 path")])
+        .args(["--deny-all", "--deny-unused-allows"])
+        .output()
+        .expect("binary runs")
+}
+
 #[test]
-fn baseline_ratchets_known_findings_away() {
-    let bad_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws-bad");
-    let baseline = std::env::temp_dir().join(format!("tnpu-lint-baseline-{}", std::process::id()));
-    let write = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
-        .args(["--root", bad_root.to_str().expect("utf-8 path")])
-        .args(["--write-baseline", baseline.to_str().expect("utf-8 path")])
-        .arg("--no-cache")
-        .output()
-        .expect("binary runs");
-    assert!(write.status.success(), "--write-baseline exits 0");
-    let replay = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
-        .args(["--root", bad_root.to_str().expect("utf-8 path")])
-        .args(["--baseline", baseline.to_str().expect("utf-8 path")])
-        .args(["--deny-all", "--no-cache"])
-        .output()
-        .expect("binary runs");
-    std::fs::remove_file(&baseline).ok();
-    assert!(
-        replay.status.success(),
-        "all findings baselined, so --deny-all passes; stdout:\n{}",
-        String::from_utf8_lossy(&replay.stdout)
+fn missing_root_is_a_tool_error() {
+    let missing = std::env::temp_dir().join(format!("tnpu-lint-missing-{}", std::process::id()));
+    let out = deny_all_over(&missing);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a run over nothing must not pass"
     );
     assert!(
-        String::from_utf8_lossy(&replay.stdout).is_empty(),
-        "baselined findings are not printed"
+        String::from_utf8_lossy(&out.stderr).contains("not a directory"),
+        "the error names the problem"
     );
 }
 
 #[test]
-fn warm_cached_run_is_byte_identical_to_cold() {
-    // Run against the real workspace with a private cache dir: cold, then
-    // warm; stdout must match byte for byte and the warm run must reuse
-    // every record.
-    let root = workspace_root();
-    let cache_root =
-        std::env::temp_dir().join(format!("tnpu-lint-warm-test-{}", std::process::id()));
-    // The binary derives the cache dir from --root, so instead drive the
-    // library here with an explicit cache dir.
-    let config = workspace_config(&root);
-    let opts = DriverOptions {
-        threads: 0,
-        cache_dir: Some(cache_root.clone()),
-    };
-    let cold = lint_root(&root, &config, &opts).expect("cold run");
-    assert_eq!(cold.stats.cached, 0, "private cache dir starts empty");
-    let warm = lint_root(&root, &config, &opts).expect("warm run");
-    assert_eq!(warm.stats.cached, warm.stats.files, "warm run is all hits");
-    assert_eq!(cold.diagnostics, warm.diagnostics);
-    assert_eq!(cold.unused_allows, warm.unused_allows);
-    std::fs::remove_dir_all(&cache_root).ok();
+fn a_walk_that_finds_no_source_is_a_tool_error() {
+    let empty = std::env::temp_dir().join(format!("tnpu-lint-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&empty).expect("writable temp dir");
+    let out = deny_all_over(&empty);
+    std::fs::remove_dir_all(&empty).ok();
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a run over nothing must not pass"
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("no `.rs` file"),
+        "the error names the problem"
+    );
 }

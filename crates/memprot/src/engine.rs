@@ -70,7 +70,7 @@ impl AccessCost {
 }
 
 /// Aggregated statistics of an engine since the last reset.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Metadata traffic by category.
     pub traffic: TrafficStats,

@@ -45,7 +45,7 @@ pub use engine::{AccessCost, EngineStats, ProtectionEngine};
 
 /// Which protection scheme an engine implements — used by experiment
 /// harnesses to label results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// No memory protection (normalization baseline).
     Unsecure,

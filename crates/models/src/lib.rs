@@ -28,7 +28,7 @@ pub use builder::ModelBuilder;
 pub const ELEM_BYTES: u64 = 2;
 
 /// GEMM dimensions of a layer after lowering: `C[M×N] = A[M×K] × B[K×N]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gemm {
     /// Output rows (spatial positions / batch).
     pub m: u64,
@@ -47,7 +47,7 @@ impl Gemm {
 }
 
 /// Where a layer's activation input comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TensorSource {
     /// The model's external input tensor.
     ModelInput,
@@ -59,7 +59,7 @@ pub enum TensorSource {
 ///
 /// All spatial fields are in elements; all layers compute in Float16
 /// ([`ELEM_BYTES`] per element).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerKind {
     /// 2-D convolution, lowered by on-the-fly im2col (the simulated NPU has
     /// a hardware im2col block, §V-A).
@@ -315,7 +315,7 @@ impl LayerKind {
 }
 
 /// A named layer with its data-flow inputs.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layer {
     /// Layer name (unique within the model).
     pub name: String,
@@ -332,7 +332,7 @@ pub struct Layer {
 }
 
 /// A benchmark network: an ordered list of layers forming a DAG.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Model {
     /// Short name used in the paper's figures (e.g. `"res"`).
     pub name: String,

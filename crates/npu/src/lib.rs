@@ -30,8 +30,9 @@
 //! * [`machine`] — one NPU's double-buffered execution state machine.
 //! * [`trace`] — scheme-independent tile traces, lowered once per
 //!   (models, NPU config, seed) and replayed against many engines.
-//! * [`multi`] — N NPUs sharing the controller and security engine
-//!   (the paper's scalability study, §V-C).
+//! * [`multi`] — the per-NPU address regions and default seed of N NPUs
+//!   sharing the controller and security engine (the paper's scalability
+//!   study, §V-C), and the step-loop entry point.
 //! * [`report`] — run reports (cycles, traffic, engine statistics).
 
 pub mod alloc;
@@ -89,59 +90,11 @@ pub fn simulate_multi(
     scheme: SchemeKind,
     count: usize,
 ) -> Vec<RunReport> {
-    simulate_multi_with(
-        model,
+    TileTrace::build_replicated(model, npu, count, multi::DEFAULT_BASE_SEED).replay(
+        build_engine(scheme, &ProtectionConfig::paper_default()),
         npu,
-        scheme,
         count,
-        &ProtectionConfig::paper_default(),
     )
-}
-
-/// [`simulate_multi`] with an explicit protection configuration — the hook
-/// for sensitivity studies (metadata cache sizes, tree arity, ...).
-///
-/// # Panics
-///
-/// Panics if `count` is zero.
-#[must_use]
-pub fn simulate_multi_with(
-    model: &Model,
-    npu: &NpuConfig,
-    scheme: SchemeKind,
-    count: usize,
-    protection: &ProtectionConfig,
-) -> Vec<RunReport> {
-    simulate_multi_seeded(
-        model,
-        npu,
-        scheme,
-        count,
-        protection,
-        multi::DEFAULT_BASE_SEED,
-    )
-}
-
-/// [`simulate_multi_with`] with an explicit workload base seed: the hook
-/// experiment runners use to give every (experiment, model, config) cell
-/// its own deterministic RNG stream. Per-NPU streams are split from
-/// `base_seed` by NPU index (see [`multi::run_shared_seeded`]).
-///
-/// # Panics
-///
-/// Panics if `count` is zero.
-#[must_use]
-pub fn simulate_multi_seeded(
-    model: &Model,
-    npu: &NpuConfig,
-    scheme: SchemeKind,
-    count: usize,
-    protection: &ProtectionConfig,
-    base_seed: u64,
-) -> Vec<RunReport> {
-    assert!(count > 0, "need at least one NPU");
-    let engine = build_engine(scheme, protection);
-    multi::run_shared_seeded(model, npu, engine, count, base_seed)
 }
 
 /// Simulate two back-to-back inferences of `model` on one NPU and return

@@ -1,12 +1,13 @@
 //! Multi-NPU simulation: N machines share one memory controller and one
 //! security engine (the paper's scalability study, §V-C).
 //!
-//! [`run_shared`] replicates the paper's setup ("the same inference models
-//! are running in each NPU"), each NPU in its own address range;
-//! [`run_shared_mixed`] extends it to heterogeneous tenants. The scheduler
-//! serves, at every step, the machine whose next transfer has the earliest
-//! arrival time, so metadata-cache interference between NPUs emerges from
-//! genuinely interleaved block streams.
+//! [`TileTrace::build_replicated`] lowers the paper's setup ("the same
+//! inference models are running in each NPU"), each NPU in its own address
+//! range; [`TileTrace::build`] extends it to heterogeneous tenants. The
+//! scheduler in [`TileTrace::replay`] serves, at every step, the machine
+//! whose next transfer has the earliest arrival time, so metadata-cache
+//! interference between NPUs emerges from genuinely interleaved block
+//! streams.
 
 use crate::config::NpuConfig;
 use crate::report::RunReport;
@@ -21,82 +22,6 @@ pub const NPU_REGION_STRIDE: u64 = 512 << 20;
 /// the simulator ultimately derives from an explicit seed so runs are
 /// bit-reproducible; this is the one used when the caller does not care.
 pub const DEFAULT_BASE_SEED: u64 = 0xC0FFEE;
-
-/// Run `count` NPUs, each inferring `model` once, over one shared engine.
-/// Returns one report per NPU (engine statistics are the shared totals).
-///
-/// # Panics
-///
-/// Panics if `count` is zero or a model's tensors exceed the per-NPU
-/// region.
-#[must_use]
-pub fn run_shared(
-    model: &Model,
-    npu: &NpuConfig,
-    engine: Box<dyn ProtectionEngine>,
-    count: usize,
-) -> Vec<RunReport> {
-    run_shared_seeded(model, npu, engine, count, DEFAULT_BASE_SEED)
-}
-
-/// [`run_shared`] with an explicit workload base seed. Per-NPU request
-/// streams are independent streams split from `base_seed` — derived from
-/// the NPU's index within the run, never from host-thread identity, so a
-/// run's results depend only on its inputs.
-///
-/// # Panics
-///
-/// Panics if `count` is zero or a model's tensors exceed the per-NPU
-/// region.
-#[must_use]
-pub fn run_shared_seeded(
-    model: &Model,
-    npu: &NpuConfig,
-    engine: Box<dyn ProtectionEngine>,
-    count: usize,
-    base_seed: u64,
-) -> Vec<RunReport> {
-    assert!(count > 0, "need at least one NPU");
-    let models: Vec<&Model> = std::iter::repeat_n(model, count).collect();
-    run_shared_mixed_seeded(&models, npu, engine, base_seed)
-}
-
-/// Run one NPU per entry of `models` — heterogeneous tenancy: different
-/// applications' contexts contending for the shared memory controller and
-/// security engine.
-///
-/// # Panics
-///
-/// Panics if `models` is empty or a model's tensors exceed the per-NPU
-/// region.
-#[must_use]
-pub fn run_shared_mixed(
-    models: &[&Model],
-    npu: &NpuConfig,
-    engine: Box<dyn ProtectionEngine>,
-) -> Vec<RunReport> {
-    run_shared_mixed_seeded(models, npu, engine, DEFAULT_BASE_SEED)
-}
-
-/// [`run_shared_mixed`] with an explicit workload base seed (see
-/// [`run_shared_seeded`]).
-///
-/// # Panics
-///
-/// Panics if `models` is empty or a model's tensors exceed the per-NPU
-/// region.
-#[must_use]
-pub fn run_shared_mixed_seeded(
-    models: &[&Model],
-    npu: &NpuConfig,
-    engine: Box<dyn ProtectionEngine>,
-    base_seed: u64,
-) -> Vec<RunReport> {
-    // Lower once, replay once: the trace abstraction is shared with the
-    // experiment sweeps, which build a trace per cell group and replay it
-    // against every scheme (see `crate::trace`).
-    TileTrace::build(models, npu, base_seed).replay(engine, npu, models.len())
-}
 
 /// Run `count` NPUs each executing a step-loop session — one model per
 /// step (an autoregressive decode growing its KV caches, or a training
@@ -131,7 +56,8 @@ mod tests {
         let model = tnpu_models::registry::model(name).expect("registered");
         let npu = NpuConfig::small_npu();
         let engine = build_engine(scheme, &ProtectionConfig::paper_default());
-        run_shared(&model, &npu, engine, count)
+        TileTrace::build_replicated(&model, &npu, count, DEFAULT_BASE_SEED)
+            .replay(engine, &npu, count)
     }
 
     fn slowest(reports: &[RunReport]) -> u64 {
@@ -190,8 +116,9 @@ mod tests {
         let df = tnpu_models::registry::model("df").expect("registered");
         let ncf = tnpu_models::registry::model("ncf").expect("registered");
         let build = || build_engine(SchemeKind::TreeBased, &ProtectionConfig::paper_default());
-        let df_alone = run_shared(&df, &npu, build(), 1)[0].total.0;
-        let mixed = run_shared_mixed(&[&df, &ncf], &npu, build());
+        let df_alone = run("df", SchemeKind::TreeBased, 1)[0].total.0;
+        let mixed =
+            TileTrace::build(&[&df, &ncf], &npu, DEFAULT_BASE_SEED).replay(build(), &npu, 2);
         assert_eq!(mixed.len(), 2);
         assert!(
             mixed[0].total.0 > df_alone,

@@ -4,7 +4,7 @@ use tnpu_memprot::{EngineStats, SchemeKind};
 use tnpu_sim::Cycles;
 
 /// Per-layer timing and traffic.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer name.
     pub name: String,
@@ -17,7 +17,7 @@ pub struct LayerReport {
 }
 
 /// Result of simulating one NPU's inference.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Protection scheme used.
     pub scheme: SchemeKind,

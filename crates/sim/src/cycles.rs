@@ -16,19 +16,7 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// let a = Cycles(100) + Cycles(20) * 3;
 /// assert_eq!(a, Cycles(160));
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
 impl Cycles {

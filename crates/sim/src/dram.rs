@@ -12,7 +12,7 @@
 use crate::Cycles;
 
 /// Exact bytes-per-cycle bandwidth as a rational `num/den`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandwidthModel {
     num: u64,
     den: u64,
@@ -64,7 +64,7 @@ impl std::fmt::Display for BandwidthModel {
 
 /// Fixed-latency DRAM timing plus the memory-level-parallelism factor used to
 /// overlap independent metadata misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTiming {
     /// Latency of one DRAM access in cycles (paper: 100).
     pub latency: Cycles,

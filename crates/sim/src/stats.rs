@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 /// `data` is the traffic an unprotected NPU would generate; the `meta`
 /// categories are the security-metadata overhead the paper's Figure 15
 /// reports (counters, tree nodes, MACs, version-table accesses).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Payload bytes read from DRAM.
     pub data_read: u64,
@@ -88,7 +88,7 @@ impl std::fmt::Display for TrafficStats {
 /// assert_eq!(ev.get("tree_walk"), 3);
 /// assert_eq!(ev.get("unknown"), 0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventCounters {
     counters: BTreeMap<String, u64>,
 }

@@ -33,9 +33,7 @@ pub mod pagetable;
 pub const PAGE_SIZE: u64 = 4096;
 
 /// Identifier of an enclave (also used for the NPU driver enclave).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EnclaveId(pub u32);
 
 impl std::fmt::Display for EnclaveId {
