@@ -22,10 +22,16 @@
 //! worker identity, so the full matrix is byte-identical across runs and
 //! thread counts.
 //!
+//! The unattacked reference is one unsecure inference, memoized for the
+//! process per model and seeds, and built only when a verdict compares
+//! against it (see [`run_cell_on`]): cells that end `Detected` never pay
+//! for it.
+//!
 //! [`Adversary`]: tnpu_memprot::adversary::Adversary
 
 use crate::secure_runner::{RunError, SecureRunner};
 use crate::Scheme;
+use std::sync::{Arc, Mutex, OnceLock};
 use tnpu_crypto::Key128;
 use tnpu_memprot::adversary::{adversary, AttackKind, AttackPoint};
 use tnpu_memprot::functional::{build_functional, IntegrityError, MismatchCause, UnsecureMemory};
@@ -282,15 +288,56 @@ fn pick_donor(model: &Model, layout: &ModelLayout, victim: Addr, rng: &mut Split
     panic!("no written block distinct from the victim exists");
 }
 
+/// A memoized reference: filled by the first cell whose verdict reads it,
+/// then shared by every later cell of the same model and seeds.
+type ReferenceSlot = Arc<OnceLock<Arc<[u8]>>>;
+
+/// Process-wide memo of [`reference_output`], one slot per model value and
+/// seed pair. The reference is a pure function of that key, and every cell
+/// of a model's matrix asks for the same one. The key is the whole
+/// [`Model`], not its name, so two models that share a name get their own
+/// references. Slots are never evicted: a process attacks a handful of
+/// models, and a slot holds one output tensor. Purely a compute cache:
+/// every verdict is the same either way.
+static REFERENCES: Mutex<Vec<(Model, u64, u64, ReferenceSlot)>> = Mutex::new(Vec::new());
+
 /// The unattacked second-pass output — the differential oracle. Computed
 /// on unprotected memory: the layer arithmetic digests *plaintext*, so the
 /// clean output is scheme-independent (asserted by the tests below).
-fn reference_output(model: &Model, s1: u64, s2: u64) -> Vec<u8> {
-    let mut r = SecureRunner::with_memory(model, UnsecureMemory::new(), s1);
-    r.run().expect("unprotected pass 1 cannot fail");
-    r.next_inference(s2).expect("input version bumps");
-    r.run().expect("unprotected pass 2 cannot fail");
-    r.read_output().expect("unprotected read cannot fail")
+///
+/// One unsecure pass gives it: weights from `s1`, then
+/// `next_inference(s2)`, a run, and the read-back. A clean pass 1 cannot
+/// change what pass 2 computes. Each layer reads the input (rewritten from
+/// `s2`), the weights (written once from `s1`) and outputs of earlier
+/// layers that pass 2 has already rewritten; embedding rows are drawn from
+/// `s2`; and versions do not enter the plaintext. The tests check this
+/// against the two-pass run for every registry model.
+///
+/// Built at most once per model and seeds in a process (see
+/// [`REFERENCES`]), by the first caller; concurrent callers wait for it.
+fn reference_output(model: &Model, s1: u64, s2: u64) -> Arc<[u8]> {
+    let slot = {
+        let mut memo = REFERENCES.lock().expect("reference memo");
+        match memo
+            .iter()
+            .find(|(m, a, b, _)| (*a, *b) == (s1, s2) && m == model)
+        {
+            Some((.., slot)) => Arc::clone(slot),
+            None => {
+                let slot = ReferenceSlot::default();
+                memo.push((model.clone(), s1, s2, Arc::clone(&slot)));
+                slot
+            }
+        }
+    };
+    Arc::clone(slot.get_or_init(|| {
+        let mut r = SecureRunner::with_memory(model, UnsecureMemory::new(), s1);
+        r.next_inference(s2).expect("input version bumps");
+        r.run().expect("unprotected pass cannot fail");
+        r.read_output()
+            .expect("unprotected read cannot fail")
+            .into()
+    }))
 }
 
 /// Cause a detected integrity failure reports, if it was a MAC mismatch.
@@ -301,24 +348,22 @@ fn mismatch_cause(e: IntegrityError) -> Option<MismatchCause> {
     }
 }
 
-/// Drive the remaining layers and the final read-back, classifying against
-/// the reference. On detection, also report which MAC binding the scheme
+/// Drive the remaining layers and the final read-back. Returns the output
+/// of a run that completed, or, on detection, which MAC binding the scheme
 /// diagnosed as broken (if detection came from a MAC at all).
 fn finish<M: tnpu_memprot::functional::FunctionalMemory>(
     runner: &mut SecureRunner<M>,
-    reference: &[u8],
-) -> (Outcome, Option<MismatchCause>) {
+) -> Result<Vec<u8>, Option<MismatchCause>> {
     while !runner.is_finished() {
         match runner.step() {
             Ok(_) => {}
-            Err(RunError::Integrity(e)) => return (Outcome::Detected, mismatch_cause(e)),
+            Err(RunError::Integrity(e)) => return Err(mismatch_cause(e)),
             Err(e) => panic!("attack produced a non-integrity failure: {e}"),
         }
     }
     match runner.read_output() {
-        Ok(out) if out == reference => (Outcome::Ineffective, None),
-        Ok(_) => (Outcome::Corrupted, None),
-        Err(RunError::Integrity(e)) => (Outcome::Detected, mismatch_cause(e)),
+        Ok(out) => Ok(out),
+        Err(RunError::Integrity(e)) => Err(mismatch_cause(e)),
         Err(e) => panic!("attack produced a non-integrity failure: {e}"),
     }
 }
@@ -337,6 +382,14 @@ pub fn run_cell(model: &Model, scheme: Scheme, attack: AttackKind) -> CellResult
 /// [`run_cell`] (same seed labels, same victim picks); the other surfaces
 /// derive their own injection points but share the expectation tables —
 /// the paper's claims do not weaken off the happy path.
+///
+/// The unattacked reference output, one unsecure pass memoized per model
+/// and seeds, is read only by a verdict that compares against it: a victim
+/// run that completed (ineffective or corrupted) and the co-resident
+/// neighbor's check. A detected or not-applicable cell without a neighbor
+/// never builds it. It is fetched only after the victim, the foreign
+/// memory and the neighbor are dropped, so the memory it is built on is
+/// never alive beside another.
 #[must_use]
 pub fn run_cell_on(
     model: &Model,
@@ -347,7 +400,6 @@ pub fn run_cell_on(
     let expected = expected_outcome(scheme, attack);
     let s1 = SplitMix64::seed_from_labels(&["attacks", &model.name, "pass1"]);
     let s2 = SplitMix64::seed_from_labels(&["attacks", &model.name, "pass2"]);
-    let reference = reference_output(model, s1, s2);
 
     let layout = ModelLayout::allocate(model, Addr(0));
     let data_blocks = layout.total_bytes.div_ceil(BLOCK_SIZE as u64).max(1);
@@ -358,7 +410,7 @@ pub fn run_cell_on(
     // The innocent co-resident tenant: same model, its own keys and
     // memory. It finishes its first pass before the victim is attacked
     // and its second pass after — both must stay clean.
-    let mut neighbor = (surface == Surface::CoResident).then(|| {
+    let neighbor = (surface == Surface::CoResident).then(|| {
         let mem = build_functional(scheme, Key128::derive(b"attacks-neighbor"), data_blocks);
         let mut n = SecureRunner::with_memory(model, mem, s1);
         n.run().expect("neighbor pass 1 must verify");
@@ -437,22 +489,28 @@ pub fn run_cell_on(
             .resume(snapshot)
             .expect("resuming over tampered memory succeeds; the next read detects");
     }
-    let (outcome, cause) = if changed {
-        finish(&mut runner, &reference)
-    } else {
-        (Outcome::NotApplicable, None)
-    };
-    if let Some(n) = neighbor.as_mut() {
-        // Tenant isolation: whatever happened to the victim, the
-        // co-resident tenant's own inference is untouched.
+    let finished = changed.then(|| finish(&mut runner));
+    drop((runner, foreign));
+    // Tenant isolation: whatever happened to the victim, the co-resident
+    // tenant's own inference is untouched.
+    let neighbor_output = neighbor.map(|mut n| {
         n.next_inference(s2).expect("neighbor input bumps");
         n.run().expect("neighbor pass 2 must verify");
-        let out = n.read_output().expect("neighbor output must verify");
+        n.read_output().expect("neighbor output must verify")
+    });
+    if let Some(out) = neighbor_output {
         assert_eq!(
-            out, reference,
+            *out,
+            *reference_output(model, s1, s2),
             "attacking one tenant corrupted a co-resident tenant ({scheme} × {attack})"
         );
     }
+    let (outcome, cause) = match finished {
+        None => (Outcome::NotApplicable, None),
+        Some(Err(cause)) => (Outcome::Detected, cause),
+        Some(Ok(out)) if *out == *reference_output(model, s1, s2) => (Outcome::Ineffective, None),
+        Some(Ok(_)) => (Outcome::Corrupted, None),
+    };
     CellResult {
         scheme,
         attack,
@@ -484,6 +542,23 @@ pub fn run_matrix_on(model: &Model, surface: Surface) -> Vec<CellResult> {
 mod tests {
     use super::*;
     use tnpu_models::builder::ModelBuilder;
+    use tnpu_models::registry::{self, DYNAMIC_MODEL_NAMES, MODEL_NAMES};
+
+    /// The two-pass reference the one-pass [`reference_output`] replaced:
+    /// a clean pass 1 on `s1`, then pass 2 on `s2`. The oracle for it.
+    fn two_pass_reference(model: &Model, s1: u64, s2: u64) -> Vec<u8> {
+        let mut r = SecureRunner::with_memory(model, UnsecureMemory::new(), s1);
+        r.run().expect("unprotected pass 1 cannot fail");
+        r.next_inference(s2).expect("input version bumps");
+        r.run().expect("unprotected pass 2 cannot fail");
+        r.read_output().expect("unprotected read cannot fail")
+    }
+
+    /// Whether the reference memo holds a slot for `model`.
+    fn memoized(model: &Model) -> bool {
+        let memo = REFERENCES.lock().expect("reference memo");
+        memo.iter().any(|(m, ..)| m == model)
+    }
 
     fn tiny() -> Model {
         ModelBuilder::new("tiny", "TinyNet", (4, 8, 8))
@@ -631,6 +706,71 @@ mod tests {
             outputs.windows(2).all(|w| w[0] == w[1]),
             "schemes disagree on the clean output"
         );
+    }
+
+    #[test]
+    fn one_pass_reference_equals_the_two_pass_reference_for_every_registry_model() {
+        for name in MODEL_NAMES.iter().chain(&DYNAMIC_MODEL_NAMES) {
+            let model = registry::model(name).expect("registered model");
+            let s1 = SplitMix64::seed_from_labels(&["attacks", name, "pass1"]);
+            let s2 = SplitMix64::seed_from_labels(&["attacks", name, "pass2"]);
+            assert_eq!(
+                *reference_output(&model, s1, s2),
+                *two_pass_reference(&model, s1, s2),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn models_that_share_a_name_get_their_own_reference() {
+        // Same name, so the same seeds; different layers, so different
+        // outputs. A memo keyed by name would hand `b` the reference of
+        // `a`, and `b`'s co-resident neighbor check would panic.
+        let a = ModelBuilder::new("twin", "TwinA", (4, 8, 8))
+            .conv("c1", 8, 3, 1, 1)
+            .fc("fc", 16)
+            .build();
+        let b = ModelBuilder::new("twin", "TwinB", (4, 8, 8))
+            .conv("c1", 8, 3, 1, 1)
+            .fc("fc", 24)
+            .build();
+        let s1 = SplitMix64::seed_from_labels(&["attacks", "twin", "pass1"]);
+        let s2 = SplitMix64::seed_from_labels(&["attacks", "twin", "pass2"]);
+        let (ra, rb) = (reference_output(&a, s1, s2), reference_output(&b, s1, s2));
+        assert_eq!(*ra, *two_pass_reference(&a, s1, s2));
+        assert_eq!(*rb, *two_pass_reference(&b, s1, s2));
+        assert_ne!(ra, rb);
+        assert!(
+            Arc::ptr_eq(&ra, &reference_output(&a, s1, s2)),
+            "built once"
+        );
+        for model in [&a, &b] {
+            for cell in run_matrix_on(model, Surface::CoResident) {
+                assert!(cell.matches(), "{} × {}", cell.scheme, cell.attack);
+            }
+        }
+    }
+
+    #[test]
+    fn detecting_schemes_never_build_the_reference() {
+        // Every tree-less and counter-tree cell ends `Detected`, which no
+        // reference can change, so none of them may build one.
+        let model = ModelBuilder::new("detect-only", "DetectOnly", (4, 8, 8))
+            .conv("c1", 8, 3, 1, 1)
+            .fc("fc", 12)
+            .build();
+        for scheme in [Scheme::Treeless, Scheme::TreeBased] {
+            for surface in [Surface::Resident, Surface::Preempted] {
+                for attack in AttackKind::ALL {
+                    let cell = run_cell_on(&model, scheme, attack, surface);
+                    assert_eq!(cell.outcome, Outcome::Detected, "{scheme} × {attack}");
+                }
+            }
+        }
+        assert!(!memoized(&model));
+        let _ = run_cell(&model, Scheme::Unsecure, AttackKind::BitFlip);
+        assert!(memoized(&model), "a completed run reads the reference");
     }
 
     #[test]

@@ -79,21 +79,12 @@ pub struct LexedFile {
 }
 
 impl LexedFile {
-    /// Whether `rule` is allowed on `line` by an escape-hatch comment: an
-    /// allow comment covers its own line, the rest of its contiguous `//`
-    /// comment block, any attribute lines directly below the block, and the
-    /// first line after those (the code line the justification is written
-    /// for).
-    #[must_use]
-    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allow_line_for(rule, line).is_some()
-    }
-
-    /// Like [`is_allowed`], but returns the line of the allow comment that
-    /// fires, so the engine can record which allows were actually used
-    /// (`--deny-unused-allows`).
-    ///
-    /// [`is_allowed`]: LexedFile::is_allowed
+    /// The line of the escape-hatch comment that allows `rule` on `line`,
+    /// if any, so the engine can record which allows were actually used
+    /// (`--deny-unused-allows`). An allow comment covers its own line, the
+    /// rest of its contiguous `//` comment block, any attribute lines
+    /// directly below the block, and the first line after those (the code
+    /// line the justification is written for).
     #[must_use]
     pub fn allow_line_for(&self, rule: &str, line: u32) -> Option<u32> {
         self.allows
@@ -508,10 +499,10 @@ mod tests {
     #[test]
     fn allow_comments_cover_their_line_and_the_next() {
         let f = lex("// tnpu-lint: allow(rule-x, rule-y) — justification\nlet x = 1;\nlet y = 2;");
-        assert!(f.is_allowed("rule-x", 1));
-        assert!(f.is_allowed("rule-y", 2));
-        assert!(!f.is_allowed("rule-x", 3));
-        assert!(!f.is_allowed("rule-z", 2));
+        assert!(f.allow_line_for("rule-x", 1).is_some());
+        assert!(f.allow_line_for("rule-y", 2).is_some());
+        assert!(f.allow_line_for("rule-x", 3).is_none());
+        assert!(f.allow_line_for("rule-z", 2).is_none());
     }
 
     #[test]
@@ -519,9 +510,9 @@ mod tests {
         let f = lex(
             "// tnpu-lint: allow(rule-x) — a justification long enough\n// to continue on a second comment line.\nlet x = 1;\nlet y = 2;",
         );
-        assert!(f.is_allowed("rule-x", 2));
-        assert!(f.is_allowed("rule-x", 3));
-        assert!(!f.is_allowed("rule-x", 4));
+        assert!(f.allow_line_for("rule-x", 2).is_some());
+        assert!(f.allow_line_for("rule-x", 3).is_some());
+        assert!(f.allow_line_for("rule-x", 4).is_none());
     }
 
     #[test]
@@ -530,11 +521,11 @@ mod tests {
             "// tnpu-lint: allow(rule-x) — the derive forces the name\n#[derive(Debug, Clone)]\n#[must_use]\nstruct S { m: HashMap }\nlet after = 1;",
         );
         assert!(
-            f.is_allowed("rule-x", 4),
+            f.allow_line_for("rule-x", 4).is_some(),
             "allow must reach past attributes"
         );
         assert!(
-            !f.is_allowed("rule-x", 5),
+            f.allow_line_for("rule-x", 5).is_none(),
             "coverage stops at the item line"
         );
     }
@@ -544,9 +535,9 @@ mod tests {
         // No trailing newline, comment is the final line: the allow must
         // still parse and cover its own line (a trailing same-line allow).
         let f = lex("let m = 1; // tnpu-lint: allow(rule-x) — trailing");
-        assert!(f.is_allowed("rule-x", 1));
+        assert!(f.allow_line_for("rule-x", 1).is_some());
         let f = lex("let m = 1;\n// tnpu-lint: allow(rule-x) — dangling at EOF");
-        assert!(f.is_allowed("rule-x", 2));
+        assert!(f.allow_line_for("rule-x", 2).is_some());
     }
 
     #[test]
@@ -554,7 +545,7 @@ mod tests {
         // Documented limitation: a blank line detaches the justification
         // from its target. --deny-unused-allows makes this rot loudly.
         let f = lex("// tnpu-lint: allow(rule-x) — detached\n\nlet m = 1;");
-        assert!(!f.is_allowed("rule-x", 3));
+        assert!(f.allow_line_for("rule-x", 3).is_none());
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //!
 //! The tree is updated lazily, as the hardware does and as the cost engine
 //! charges it (Bonsai-style, see [`crate::tree_engine`]). A write hashes
-//! only the 64 B counter block it bumped and records that leaf hash as
-//! pending. Before any verification, a flush writes every pending leaf
-//! into its level-1 node, then re-hashes each dirty node once, level by
-//! level, up to the on-chip root. Each node keeps its hash next to its
-//! children, so a read compares one child slot per level and takes each
-//! node's hash from the stored field instead of hashing 2 KiB again.
+//! nothing: it records a trusted copy of the 64 B counter block it bumped
+//! as pending. Before any verification, a flush hashes each pending
+//! counter block once, writes the hash into its level-1 node, then
+//! re-hashes each dirty node once, level by level, up to the on-chip root.
+//! Each node keeps its hash next to its children, so a read compares one
+//! child slot per level and takes each node's hash from the stored field
+//! instead of hashing 2 KiB again.
+//!
+//! A read hashes the counter block it finds in DRAM, unless that block
+//! equals the last one a read hashed: 64 consecutive data blocks share one
+//! counter block, and a hash is a pure function of the block's value, so
+//! the kept hash is the one re-hashing would give. The comparison against
+//! the level-1 slot and the walk to the root still run on every read.
 //!
 //! After a flush, the nodes and the root are byte-for-byte those of an
 //! eager tree that re-hashes the whole path on every write, so every read
@@ -39,9 +46,9 @@ use tnpu_sim::{Addr, BLOCK_SIZE};
 /// the tree-node contents. The attack hooks mutate that state directly;
 /// reads verify the full path to the trusted root.
 ///
-/// Tree updates are lazy. [`write_block`] takes the hash of the counter
-/// block it bumped and leaves it pending; the next verification flushes
-/// every pending leaf up to the root. The leaf hash is taken at write
+/// Tree updates are lazy. [`write_block`] copies the counter block it
+/// bumped and leaves the copy pending; the next verification hashes every
+/// pending copy and flushes it up to the root. The copy is taken at write
 /// time, not at the flush: a counter block tampered, rolled back or
 /// restored between a write and the next read must still fail against the
 /// tree, and a flush that hashed the live counter block would absorb the
@@ -54,7 +61,8 @@ pub struct CounterTreeMemory {
     macs: PagedStore<MacTag>,
     /// DRAM-resident SC-64 split-counter blocks, one per 64 data blocks.
     counters: BTreeMap<u64, SplitCounterBlock>,
-    /// Nodes, root and pending leaves. Reads take `&self` and still flush.
+    /// Nodes, root, pending counter blocks and the last read's hash. Reads
+    /// take `&self` and still flush.
     tree: RefCell<TreeState>,
     geometry: TreeGeometry,
     counters_per_block: u64,
@@ -80,28 +88,33 @@ struct Node {
     hash: [u8; 32],
 }
 
-/// The tree's state: everything the flush writes.
+/// The tree's state: everything the flush and the reads write.
 #[derive(Debug, Clone, Default)]
 struct TreeState {
     /// `(level, node) -> node`; level-1 nodes hold counter-block hashes.
     nodes: BTreeMap<(u32, u64), Node>,
-    /// Counter-block hashes taken at write time that the next flush writes
-    /// into their level-1 nodes, by counter block.
-    pending: BTreeMap<u64, [u8; 32]>,
+    /// Trusted copies of the counter blocks written since the last flush,
+    /// taken at write time, by counter block. The next flush hashes each
+    /// once into its level-1 node.
+    pending: BTreeMap<u64, SplitCounterBlock>,
+    /// The last DRAM counter block a read hashed, and its hash.
+    last_read: Option<(SplitCounterBlock, [u8; 32])>,
     /// The on-chip root hash — the only trusted state.
     root: [u8; 32],
 }
 
 impl TreeState {
-    /// Write every pending leaf into its level-1 node, then re-hash each
-    /// dirty node once, level by level, and take the top node's hash as
-    /// the root. Each level's dirty indices come out sorted, so one pass
-    /// groups every node's children.
+    /// Hash every pending counter block into its level-1 node, then
+    /// re-hash each dirty node once, level by level, and take the top
+    /// node's hash as the root. Each level's dirty indices come out sorted,
+    /// so one pass groups every node's children.
     fn flush(&mut self, geometry: &TreeGeometry) {
         let arity = geometry.arity();
         // `(index, hash)` of the children to write one level up.
-        let mut dirty: Vec<(u64, [u8; 32])> =
-            std::mem::take(&mut self.pending).into_iter().collect();
+        let mut dirty: Vec<(u64, [u8; 32])> = std::mem::take(&mut self.pending)
+            .into_iter()
+            .map(|(cb, block)| (cb, sha256(&block.to_bytes())))
+            .collect();
         for level in 1..=geometry.root_level() {
             let mut parents = Vec::new();
             let mut children = dirty.into_iter().peekable();
@@ -123,6 +136,20 @@ impl TreeState {
         // Writes stay inside the root's span: the top level has one node.
         if let Some(&(_, hash)) = dirty.last() {
             self.root = hash;
+        }
+    }
+
+    /// Hash of a counter block a read found in DRAM. Equal blocks hash
+    /// equal, so the hash is recomputed only when `block` differs from the
+    /// last one hashed here.
+    fn read_hash(&mut self, block: &SplitCounterBlock) -> [u8; 32] {
+        match &self.last_read {
+            Some((last, hash)) if last == block => *hash,
+            _ => {
+                let hash = sha256(&block.to_bytes());
+                self.last_read = Some((block.clone(), hash));
+                hash
+            }
         }
     }
 }
@@ -186,15 +213,6 @@ impl CounterTreeMemory {
         block / self.counters_per_block
     }
 
-    /// Hash of a counter block's current (untrusted) serialized contents.
-    fn counter_block_hash(&self, counter_block: u64) -> [u8; 32] {
-        let bytes = self.counters.get(&counter_block).map_or_else(
-            || SplitCounterBlock::new().to_bytes(),
-            SplitCounterBlock::to_bytes,
-        );
-        sha256(&bytes)
-    }
-
     /// Effective counter of a data block, if its counter block exists.
     #[must_use]
     pub fn counter_of(&self, addr: Addr) -> Option<u64> {
@@ -205,13 +223,15 @@ impl CounterTreeMemory {
     }
 
     /// Verify the path from `counter_block` to the trusted root, flushing
-    /// pending writes first. Each level compares its child slot against the
-    /// hash below and hands its stored hash up.
+    /// pending writes first. The (untrusted) DRAM counter block is hashed
+    /// unless it equals the last one hashed; each level then compares its
+    /// child slot against the hash below and hands its stored hash up.
     fn verify_path(&self, counter_block: u64) -> Result<(), IntegrityError> {
         let mut tree = self.tree.borrow_mut();
         tree.flush(&self.geometry);
         let arity = self.geometry.arity();
-        let mut expected = self.counter_block_hash(counter_block);
+        let fresh = SplitCounterBlock::new();
+        let mut expected = tree.read_hash(self.counters.get(&counter_block).unwrap_or(&fresh));
         let mut child_idx = counter_block;
         for level in 1..=self.geometry.root_level() {
             let node_idx = child_idx / arity;
@@ -235,8 +255,8 @@ impl CounterTreeMemory {
     }
 
     /// Encrypt and store a block; the hardware bumps the block's SC-64
-    /// minor counter and records the counter block's new hash for the next
-    /// flush of the tree. If the minor overflows, every sibling block of
+    /// minor counter and records a copy of the counter block for the next
+    /// flush of the tree to hash. If the minor overflows, every sibling block of
     /// the 4 KB page is decrypted under its old counter and re-encrypted
     /// under the new epoch — the real SC-64 overflow procedure whose cost
     /// the timing engine charges.
@@ -296,13 +316,13 @@ impl CounterTreeMemory {
             let bumped = entry.bump(slot);
             debug_assert_eq!(bumped, Bump::Minor);
         }
-        let counter = self.counters[&cb].counter(slot);
+        let written = self.counters[&cb].clone();
+        let counter = written.counter(slot);
         let ct = self.ctr.encrypt(addr.0, counter, &plaintext);
         let tag = self.mac.tag(addr.0, counter, &ct);
         self.dram.write_block(addr, ct);
         self.macs.insert(block, tag);
-        let leaf = self.counter_block_hash(cb);
-        self.tree.get_mut().pending.insert(cb, leaf);
+        self.tree.get_mut().pending.insert(cb, written);
     }
 
     /// Fetch, verify (tree then MAC) and decrypt a block.
@@ -677,6 +697,24 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    #[test]
+    fn a_tamper_after_a_read_hashed_its_counter_block_fails_at_level_1() {
+        // The first read keeps its counter block's hash for the next read;
+        // the tampered block differs from it, so that read hashes afresh.
+        let mut m = mem();
+        m.write_block(Addr(0), [1u8; 64]);
+        assert_eq!(m.read_block(Addr(0)), Ok([1u8; 64]));
+        assert!(m.tree.borrow().last_read.is_some());
+        let clean = m.snapshot(Addr(0)).expect("written");
+        m.tamper_counter(Addr(0), 99);
+        assert_eq!(
+            m.read_block(Addr(0)),
+            Err(IntegrityError::TreeMismatch { level: 1 })
+        );
+        m.restore(Addr(0), clean);
+        assert_eq!(m.read_block(Addr(0)), Ok([1u8; 64]));
     }
 
     #[test]

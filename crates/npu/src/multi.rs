@@ -129,20 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn stepped_run_matches_trace_replay() {
-        let steps: Vec<Model> = (1..=3)
-            .map(tnpu_models::defs::dynamic::decode_step)
-            .collect();
-        let refs: Vec<&Model> = steps.iter().collect();
-        let npu = NpuConfig::small_npu();
-        let build = || build_engine(SchemeKind::Treeless, &ProtectionConfig::paper_default());
-        let direct = run_steps_seeded(&refs, &npu, build(), 2, 0xBEEF);
-        let trace = TileTrace::build_steps(&refs, &npu, 2, 0xBEEF);
-        let replayed = trace.replay(build(), &npu, 2);
-        assert_eq!(direct, replayed);
-    }
-
-    #[test]
     fn npus_use_disjoint_address_ranges() {
         let model = tnpu_models::registry::model("res").expect("registered");
         let l0 = ModelLayout::allocate(&model, Addr(0));
