@@ -1,8 +1,7 @@
 //! CLI driver for the dynamic-dataflow crossover sweep.
 //!
 //! ```text
-//! decode [--quick] [--deny-undetected] [--deny-corrupted] [--threads N]
-//!        [--bench-json PATH]
+//! decode [--quick] [--threads N] [--bench-json PATH]
 //! ```
 //!
 //! Prints the sequence-length × version-limit × scheme crossover figure
@@ -10,58 +9,17 @@
 //! replay cycles with the tree-less scheme's amortized epoch-sweep bill
 //! folded in, `<<` marking the cells where version churn pushes tree-less
 //! behind the counter tree — then joins the attack and environmental-fault
-//! matrices for the dynamic models. `--deny-undetected` exits non-zero if
-//! any attack cell contradicts the paper's claims, `--deny-corrupted` if
-//! any fault cell contradicts the fault model. stdout is byte-identical
-//! at any thread count; timing goes to stderr.
+//! matrices for the dynamic models. The process exits 1 if any attack
+//! cell contradicts the paper's claims or any fault cell contradicts the
+//! fault model. stdout is byte-identical at any thread count; timing goes
+//! to stderr.
 
+use tnpu_bench::cli::{self, Flag};
 use tnpu_bench::{attacks, decode, faults, sweep};
 
-fn parse_thread_count(value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--threads wants a positive integer, got {value:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut deny_undetected = false;
-    let mut deny_corrupted = false;
-    let mut bench_json: Option<std::path::PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--deny-undetected" {
-            deny_undetected = true;
-        } else if arg == "--deny-corrupted" {
-            deny_corrupted = true;
-        } else if arg == "--threads" {
-            let Some(value) = iter.next() else {
-                eprintln!("--threads wants a value");
-                std::process::exit(2);
-            };
-            sweep::set_threads(parse_thread_count(value));
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            sweep::set_threads(parse_thread_count(value));
-        } else if arg == "--bench-json" {
-            let Some(value) = iter.next() else {
-                eprintln!("--bench-json wants a path");
-                std::process::exit(2);
-            };
-            bench_json = Some(value.into());
-        } else if let Some(value) = arg.strip_prefix("--bench-json=") {
-            bench_json = Some(value.into());
-        } else {
-            eprintln!("unknown flag: {arg}");
-            std::process::exit(2);
-        }
-    }
+    let args = cli::from_env(&[Flag::Quick, Flag::Threads, Flag::BenchJson], false);
+    let quick = args.quick;
 
     // Quick keeps the joined matrices to the decode model, the sparser
     // fault period, and two passes — the dynamic models push megabytes
@@ -99,22 +57,15 @@ fn main() {
     println!("==== decode faults ====");
     println!("{}", faults::render(&fault_cells));
 
-    // Timing telemetry is nondeterministic, so it goes to stderr only —
-    // stdout must stay byte-identical at any thread count. The optional
-    // benchmark record goes to its own file, never to stdout.
-    if let Err(e) = sweep::finish_session(&args.join(" "), bench_json.as_deref()) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-
+    cli::finish(&args);
     let undetected = attack_cells.iter().filter(|(_, c)| !c.matches()).count();
-    if deny_undetected && undetected > 0 {
-        eprintln!("--deny-undetected: {undetected} cell(s) contradict the paper's claims");
-        std::process::exit(1);
-    }
+    cli::gate(
+        undetected == 0,
+        &format!("{undetected} attack cell(s) contradict the paper's claims"),
+    );
     let corrupted = fault_cells.iter().filter(|c| !c.matches()).count();
-    if deny_corrupted && corrupted > 0 {
-        eprintln!("--deny-corrupted: {corrupted} cell(s) contradict the fault model");
-        std::process::exit(1);
-    }
+    cli::gate(
+        corrupted == 0,
+        &format!("{corrupted} fault cell(s) contradict the fault model"),
+    );
 }

@@ -2,62 +2,25 @@
 //!
 //! ```text
 //! experiments [--quick] [--threads N] [--bench-json PATH] [target ...]
-//! targets: table2 table3 fig4 fig5 fig14 fig15 fig16 fig17 vtable hwcost all
+//! targets: table2 table3 fig4 fig5 fig14 fig15 fig16 fig17 csv check vtable
+//!          hwcost ext_scaling ablations all
 //! ```
 //!
 //! Cells of each experiment run in parallel on a worker pool sized by
-//! `--threads N` (or the `TNPU_THREADS` environment variable, defaulting
-//! to all cores). stdout is byte-identical at any thread count; the
-//! timing summary — per-job wall times and the aggregate speedup — goes
-//! to stderr. `--bench-json PATH` additionally appends one JSON record of
+//! `--threads N` (default: all cores). stdout is byte-identical at any
+//! thread count; the timing summary — per-job wall times and the
+//! aggregate speedup — goes to stderr. `--bench-json PATH` additionally appends one JSON record of
 //! the run's pool timings to the array in `PATH` (creating it if absent),
 //! growing the perf-trajectory log `make bench` maintains.
 
+use tnpu_bench::cli::{self, Flag};
 use tnpu_bench::experiments::{self, model_list};
-use tnpu_bench::{sweep, tables};
-
-fn parse_thread_count(value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--threads wants a positive integer, got {value:?}");
-            std::process::exit(2);
-        }
-    }
-}
+use tnpu_bench::tables;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut bench_json: Option<std::path::PathBuf> = None;
-    let mut targets: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--threads" {
-            let Some(value) = iter.next() else {
-                eprintln!("--threads wants a value");
-                std::process::exit(2);
-            };
-            sweep::set_threads(parse_thread_count(value));
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            sweep::set_threads(parse_thread_count(value));
-        } else if arg == "--bench-json" {
-            let Some(value) = iter.next() else {
-                eprintln!("--bench-json wants a path");
-                std::process::exit(2);
-            };
-            bench_json = Some(value.into());
-        } else if let Some(value) = arg.strip_prefix("--bench-json=") {
-            bench_json = Some(value.into());
-        } else if arg.starts_with("--") {
-            eprintln!("unknown flag: {arg}");
-            std::process::exit(2);
-        } else {
-            targets.push(arg.as_str());
-        }
-    }
+    let args = cli::from_env(&[Flag::Quick, Flag::Threads, Flag::BenchJson], true);
+    let quick = args.quick;
+    let mut targets: Vec<&str> = args.words.iter().map(String::as_str).collect();
     if targets.is_empty() || targets.contains(&"all") {
         targets = vec![
             "table2",
@@ -134,11 +97,5 @@ fn main() {
         println!("{rendered}");
     }
 
-    // Timing telemetry is nondeterministic, so it goes to stderr only —
-    // stdout must stay byte-identical at any thread count. The optional
-    // benchmark record goes to its own file, never to stdout.
-    if let Err(e) = sweep::finish_session(&args.join(" "), bench_json.as_deref()) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
+    cli::finish(&args);
 }

@@ -1,7 +1,7 @@
 //! CLI driver for the multi-tenant serving simulator.
 //!
 //! ```text
-//! serve [--quick] [--deny-undetected] [--threads N] [model ...]
+//! serve [--quick] [--threads N] [model ...]
 //! ```
 //!
 //! Prints the per-scheme p50/p95/p99 tail-latency and throughput tables
@@ -10,75 +10,31 @@
 //! through each scheme's protection engine — then the attack matrix
 //! extended to preempted and co-resident contexts and the stale-IOMMU-TLB
 //! recycle probe. Positional models override the extended matrix's victim
-//! set. With `--deny-undetected` the process exits non-zero if any
-//! extended cell contradicts the paper's claims or the stale-TLB window
-//! is open. stdout is byte-identical at any thread count; timing goes to
-//! stderr.
+//! set. The process exits 1 if any extended cell contradicts the paper's
+//! claims or the stale-TLB window is open. stdout is byte-identical at
+//! any thread count; timing goes to stderr.
 
-use tnpu_bench::{serving, sweep};
-use tnpu_models::registry;
-
-fn parse_thread_count(value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--threads wants a positive integer, got {value:?}");
-            std::process::exit(2);
-        }
-    }
-}
+use tnpu_bench::cli::{self, Flag};
+use tnpu_bench::serving;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut deny = false;
-    let mut quick = false;
-    let mut models: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--deny-undetected" {
-            deny = true;
-        } else if arg == "--quick" {
-            quick = true;
-        } else if arg == "--threads" {
-            let Some(value) = iter.next() else {
-                eprintln!("--threads wants a value");
-                std::process::exit(2);
-            };
-            sweep::set_threads(parse_thread_count(value));
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            sweep::set_threads(parse_thread_count(value));
-        } else if arg.starts_with("--") {
-            eprintln!("unknown flag: {arg}");
-            std::process::exit(2);
-        } else if registry::model(arg).is_some() {
-            models.push(arg.as_str());
-        } else {
-            eprintln!("unknown model: {arg}");
-            std::process::exit(2);
-        }
-    }
-    if models.is_empty() {
-        models = if quick {
-            serving::QUICK_ATTACK_MODELS.to_vec()
-        } else {
-            serving::FULL_ATTACK_MODELS.to_vec()
-        };
-    }
+    let args = cli::from_env(&[Flag::Quick, Flag::Threads], true);
+    let default = if args.quick {
+        &serving::QUICK_ATTACK_MODELS[..]
+    } else {
+        &serving::FULL_ATTACK_MODELS[..]
+    };
+    let models = cli::models(&args, default);
 
-    let reports = serving::serve(quick);
+    let reports = serving::serve(args.quick);
     let cells = serving::attack_surfaces(&models);
     println!("==== serve ====");
     println!("{}", serving::render_serve(&reports));
     println!("{}", serving::render_surfaces(&cells));
 
-    // Timing telemetry is nondeterministic, so it goes to stderr only —
-    // stdout must stay byte-identical at any thread count.
-    if let Some(summary) = sweep::session_summary() {
-        eprint!("{summary}");
-    }
-
-    if deny && !serving::all_claims_hold(&cells) {
-        eprintln!("--deny-undetected: extended attack claims do not hold");
-        std::process::exit(1);
-    }
+    cli::finish(&args);
+    cli::gate(
+        serving::all_claims_hold(&cells),
+        "the extended attack claims do not hold",
+    );
 }

@@ -8,8 +8,8 @@
 //! are byte-identical at any thread count); [`tables`] renders it in the
 //! row/series layout the paper plots. The [`decode`] module adds the
 //! dynamic-dataflow crossover sweep (sequence length × version limit ×
-//! scheme) behind the `decode` binary. The `experiments` binary drives
-//! the static set:
+//! scheme) behind the `decode` binary. Every binary parses its command
+//! line with [`cli`]. The `experiments` binary drives the static set:
 //!
 //! ```text
 //! cargo run --release -p tnpu-bench --bin experiments -- all
@@ -20,6 +20,7 @@
 
 pub mod ablations;
 pub mod attacks;
+pub mod cli;
 pub mod decode;
 pub mod experiments;
 pub mod faults;

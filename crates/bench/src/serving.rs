@@ -249,8 +249,8 @@ pub fn render_surfaces(cells: &[(String, Surface, CellResult)]) -> String {
 
 /// Whether every extended cell matches, the stale-TLB window is closed,
 /// and every session misuse is refused by the right layer with the right
-/// [`tnpu_core::context::SessionError`] variant — the `--deny-undetected`
-/// gate.
+/// [`tnpu_core::context::SessionError`] variant — the gate the `serve`
+/// binary exits 1 on.
 #[must_use]
 pub fn all_claims_hold(cells: &[(String, Surface, CellResult)]) -> bool {
     cells.iter().all(|(_, _, c)| c.matches())

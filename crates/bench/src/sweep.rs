@@ -14,14 +14,12 @@
 //!   pool returns, so `experiments -- all` is byte-identical at any
 //!   thread count (enforced by `tests/determinism.rs`).
 //!
-//! Thread-count resolution (first match wins): an explicit
-//! [`set_threads`] call (the binary's `--threads N` flag), the
-//! `TNPU_THREADS` environment variable, then
-//! [`std::thread::available_parallelism`].
+//! The pool width is the one pinned by [`set_threads`] (the binary's
+//! `--threads N` flag), else [`std::thread::available_parallelism`].
 //!
 //! Each pool run also produces a [`PoolReport`] with per-job wall times
 //! and the aggregate speedup; the harness collects them in a session
-//! registry ([`record`] / [`session_summary`]) and the binary prints the
+//! registry ([`record`] / [`finish_session`]) and the binary prints the
 //! summary to **stderr** — timing is nondeterministic and must never
 //! touch the byte-stable stdout.
 //!
@@ -45,23 +43,16 @@ pub fn set_threads(n: usize) -> bool {
     THREAD_OVERRIDE.set(n.max(1)).is_ok()
 }
 
-/// The pool width [`run_ordered`] uses: [`set_threads`] override, else
-/// `TNPU_THREADS`, else the machine's available parallelism.
+/// The pool width [`run_ordered`] uses: the [`set_threads`] override,
+/// else the machine's available parallelism.
 #[must_use]
 pub fn threads() -> usize {
-    if let Some(&n) = THREAD_OVERRIDE.get() {
-        return n;
+    match THREAD_OVERRIDE.get() {
+        Some(&n) => n,
+        None => std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1),
     }
-    if let Some(n) = std::env::var("TNPU_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Wall time of one job, under its label.
@@ -273,12 +264,6 @@ pub fn summarize(pools: &[PoolReport]) -> Option<String> {
         serial.as_secs_f64() / wall.as_secs_f64().max(1e-9),
     );
     Some(out)
-}
-
-/// Drain the session registry and render it (see [`summarize`]).
-#[must_use]
-pub fn session_summary() -> Option<String> {
-    summarize(&take_session())
 }
 
 /// Drain the session registry, print its timing summary to stderr and,

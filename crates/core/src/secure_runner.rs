@@ -102,7 +102,7 @@ impl From<VersionError> for RunError {
 /// self-authenticating, so a context switch moves only this (KB-scale)
 /// state, which is exactly what the serving layer charges as
 /// protected-region DMA.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionSnapshot {
     table: VersionSnapshot,
     cursor: u64,
@@ -686,22 +686,31 @@ impl<M: FunctionalMemory, P> Session<M, P> {
         })
     }
 
-    /// Resume from a [`suspend`](Self::suspend) snapshot, re-validating
-    /// its epoch tag against the context's current epoch.
+    /// Resume from a [`suspend`](Self::suspend) snapshot. The context
+    /// keeps its table, cursor and seed while it is parked, so the only
+    /// snapshot it accepts is the one `suspend` would return now.
     ///
     /// # Errors
     ///
     /// [`RunError::Version`] with [`VersionError::StaleSnapshot`] if an
     /// epoch sweep ran while the context was suspended — restoring
     /// pre-sweep versions under post-sweep keys is the replay hazard the
-    /// epoch tag closes. The attempt quarantines the context (an attempted
-    /// rollback, whether bug or attack, leaves its scheduling state
-    /// untrustworthy). [`RunError::Poisoned`] if already quarantined.
+    /// epoch tag closes — or with [`VersionError::SnapshotMismatch`] if
+    /// the snapshot is from this epoch but differs from the live state (an
+    /// older snapshot of this context, or another context's): rewinding
+    /// versions under unchanged keys would let a rewrite repeat a version,
+    /// so a replayed block would verify. Either refusal leaves the table
+    /// untouched and quarantines the context (an attempted rollback,
+    /// whether bug or attack, leaves its scheduling state untrustworthy).
+    /// [`RunError::Poisoned`] if already quarantined.
     pub fn resume(&mut self, snapshot: &SessionSnapshot) -> Result<(), RunError> {
         self.guarded(|s| {
+            if snapshot.epoch() == s.epoch && *snapshot != s.suspend()? {
+                return Err(VersionError::SnapshotMismatch.into());
+            }
+            // Refuses an earlier epoch's snapshot; an accepted one equals
+            // the live table, cursor and seed.
             s.table.restore(&snapshot.table, s.epoch)?;
-            s.cursor = snapshot.cursor;
-            s.seed = snapshot.seed;
             Ok(())
         })
     }
@@ -872,17 +881,21 @@ fn retryable(e: &IntegrityError) -> bool {
 ///
 /// Integrity failures are sweep-clearable (re-verify, re-key, retry the
 /// quarantined step), as are the version states a sweep resets —
-/// exhaustion and a raced stale snapshot. Version-management *misuse* and
-/// CPU access errors indicate runner bugs: sweeping would mask the defect,
-/// so callers should leave the quarantine in place and surface the error.
+/// exhaustion and a refused stale or mismatched snapshot.
+/// Version-management *misuse* and CPU access errors indicate runner
+/// bugs: sweeping would mask the defect, so callers should leave the
+/// quarantine in place and surface the error.
 #[must_use]
 pub fn sweep_clearable(e: &RunError) -> bool {
     match e {
         RunError::Integrity(_) => true,
         RunError::Version(v) => match v {
-            // The sweep resets every version and re-snapshots: these two
-            // states are exactly what it exists to clear.
-            VersionError::Exhausted(_) | VersionError::StaleSnapshot { .. } => true,
+            // The sweep resets every version under fresh keys. A refused
+            // resume left the live state intact, and after the re-key no
+            // earlier snapshot can resume: every one of them is stale.
+            VersionError::Exhausted(_)
+            | VersionError::StaleSnapshot { .. }
+            | VersionError::SnapshotMismatch => true,
             // Misuse of the version table: a sweep cannot fix the runner.
             VersionError::UnknownTensor(_)
             | VersionError::NoSuchTile { .. }
@@ -1100,6 +1113,68 @@ mod tests {
         r.recover().expect("recover again");
         let fresh = r.suspend().expect("suspend");
         r.resume(&fresh).expect("same-epoch resume");
+    }
+
+    #[test]
+    fn same_epoch_snapshots_that_differ_from_the_live_state_are_refused() {
+        // Regression test: resume once accepted any snapshot of the current
+        // epoch. Resuming the snapshot taken after pass 1, once pass 2 had
+        // run, rewound the input's version, so the next inference rewrote
+        // the input under version 2 a second time: the pass-2 input block,
+        // captured and replayed, verified, and the run completed with a
+        // wrong output. Another model's fresh snapshot rewound the cursor.
+        let mut r = runner("df");
+        r.run().expect("pass 1");
+        let old = r.suspend().expect("suspend after pass 1");
+        r.next_inference(2).expect("pass 2 input");
+        r.run().expect("pass 2");
+        let live = r.version_table().snapshot(r.epoch());
+        assert_eq!(old.epoch(), r.epoch(), "no sweep ran");
+        assert_eq!(
+            r.resume(&old),
+            Err(RunError::Version(VersionError::SnapshotMismatch))
+        );
+        assert!(r.is_poisoned(), "attempted rollback quarantines");
+        assert_eq!(
+            r.version_table().snapshot(r.epoch()),
+            live,
+            "table untouched"
+        );
+        r.recover().expect("sweep over clean state");
+        // The re-key made every earlier snapshot stale.
+        assert!(matches!(
+            r.resume(&old),
+            Err(RunError::Version(VersionError::StaleSnapshot { .. }))
+        ));
+        r.recover().expect("recover again");
+
+        let mut other = runner("ncf");
+        other.recover().expect("sweep over clean state");
+        other.recover().expect("and again");
+        let foreign = other.suspend().expect("fresh");
+        assert_eq!(foreign.epoch(), r.epoch(), "same epoch, other model");
+        let live = r.version_table().snapshot(r.epoch());
+        assert_eq!(
+            r.resume(&foreign),
+            Err(RunError::Version(VersionError::SnapshotMismatch))
+        );
+        assert_eq!(
+            r.version_table().snapshot(r.epoch()),
+            live,
+            "table untouched"
+        );
+
+        // Once recovered, the context computes what a fresh one does.
+        r.recover().expect("recover");
+        r.next_inference(3).expect("pass 3 input");
+        r.run().expect("pass 3");
+        let mut fresh = runner("df");
+        fresh.next_inference(3).expect("input");
+        fresh.run().expect("run");
+        assert_eq!(
+            r.read_output().expect("verifies"),
+            fresh.read_output().expect("verifies")
+        );
     }
 
     #[test]
@@ -1592,7 +1667,9 @@ mod proptests {
     /// an argument, and check that no call panics and the poison rule:
     /// after an error from any call but `recover`, other than `Finished`,
     /// every fallible call except `recover` returns `Poisoned` until a
-    /// `recover` succeeds. `program` runs op codes 0 and 1: the program's
+    /// `recover` succeeds. A resume of the own, stale or foreign snapshot
+    /// on a clean context succeeds exactly when the snapshot equals the
+    /// live state. `program` runs op codes 0 and 1: the program's
     /// own calls (`step`, `run`, `next_inference`).
     fn check_call_sequence<P>(
         s: &mut Session<TreelessMemory, P>,
@@ -1608,9 +1685,30 @@ mod proptests {
                 0 | 1 => program(s, arg),
                 2 => s.read_output().map(drop),
                 3 => s.suspend().map(|snap| own = snap),
-                4 => s.resume(&own),
-                5 => s.resume(&stale),
-                6 => s.resume(foreign),
+                4..=6 => {
+                    let snap = [&own, &stale, foreign][usize::from(op - 4)];
+                    let live = s.suspend();
+                    let r = s.resume(snap);
+                    if let Ok(live) = live {
+                        // Only the live state resumes; anything else is a
+                        // rollback, refused as stale or mismatched.
+                        if live == *snap {
+                            assert_eq!(r, Ok(()), "op {op} refused the live state");
+                        } else {
+                            assert!(
+                                matches!(
+                                    r,
+                                    Err(RunError::Version(
+                                        VersionError::StaleSnapshot { .. }
+                                            | VersionError::SnapshotMismatch
+                                    ))
+                                ),
+                                "op {op} resumed a snapshot that differs from the live state: {r:?}"
+                            );
+                        }
+                    }
+                    r
+                }
                 7 | 8 => {
                     if s.recover().is_ok() {
                         quarantined = false;

@@ -8,18 +8,20 @@
 //!
 //! * **Request generation** — open-loop Poisson and bursty arrival
 //!   processes plus a closed-loop (fixed-client) process, over a weighted
-//!   per-model traffic mix. Arrival times, model picks, and per-request
-//!   input seeds are all derived from labels via
-//!   [`SplitMix64::seed_from_labels`] — never from the scheme or the
-//!   scheduling policy — so every scheme serves the *identical* request
-//!   stream and tail latencies compare like with like.
+//!   per-model traffic mix. Arrival times and model picks are derived
+//!   from labels via [`SplitMix64::seed_from_labels`] — never from the
+//!   scheme or the scheduling policy — so every scheme serves the
+//!   *identical* request stream and tail latencies compare like with
+//!   like.
 //! * **Scheduling** — FCFS and priority-preemptive policies over an
 //!   NPU pool. Preemption happens only at layer boundaries: a layer's
 //!   tile loop is not interruptible (suspending mid-layer would leave a
-//!   tensor half-bumped, exactly the state [`SecureRunner`] refuses to
+//!   tensor half-bumped, exactly the state
+//!   [`SecureRunner`](crate::secure_runner::SecureRunner) refuses to
 //!   expose).
 //! * **Context-switch accounting** — suspending a secure context is not
-//!   free. A switch-out saves the software [`VersionTable`] (one
+//!   free. A switch-out saves the software
+//!   [`VersionTable`](crate::VersionTable) (one
 //!   [`version_access`](tnpu_memprot::ProtectionEngine::version_access)
 //!   per entry for the treeless scheme — the table lives in the
 //!   fully-protected region), flushes the engine's dirty metadata
@@ -40,29 +42,26 @@
 //! [`ServeReport`] is a pure function of its [`ServeSpec`] — byte-stable
 //! across runs, thread counts, and machines.
 //!
-//! In *functional* mode ([`ServeSpec::functional`]) each request drives a
-//! real [`SecureRunner`] over real encrypted bytes: preemption calls
-//! [`suspend`](crate::secure_runner::SecureRunner::suspend), re-dispatch
-//! calls [`resume`](crate::secure_runner::SecureRunner::resume), and each
-//! completed request's output is verified against an unpreempted
-//! unsecure-memory reference — the proof that multiplexing never changes
-//! what a tenant computes.
+//! Serving is modeled: no request moves real bytes. Every switch spills
+//! the fresh, fully merged version table of the request's model, which
+//! is exact because a static model is fully merged at every layer
+//! boundary. A test drives real tree-less sessions through every boundary
+//! to check both that equality and that suspending and resuming there
+//! never changes what a tenant computes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::secure_runner::{register_tensors, SecureRunner, SessionSnapshot};
+use crate::secure_runner::register_tensors;
 use crate::version::ENTRY_BYTES;
-use crate::{RunSpec, Scheme, VersionTable};
-use tnpu_crypto::Key128;
-use tnpu_memprot::functional::{build_functional, FunctionalMemory, UnsecureMemory};
+use crate::{RunSpec, Scheme};
 use tnpu_memprot::{build_engine, AccessCost, ProtectionConfig, ProtectionEngine};
 use tnpu_models::registry;
 use tnpu_npu::alloc::ModelLayout;
 use tnpu_npu::NpuConfig;
 use tnpu_sim::dram::{BandwidthModel, DramTiming};
 use tnpu_sim::rng::SplitMix64;
-use tnpu_sim::{Addr, BLOCK_SIZE};
+use tnpu_sim::Addr;
 
 /// Cycles to re-program the NELRANGE base/bound registers and the
 /// per-context key slots on a switch-in (a handful of uncached MMIO
@@ -208,13 +207,10 @@ pub struct ServeSpec {
     pub npus: usize,
     /// Requests to serve.
     pub requests: usize,
-    /// Drive real [`SecureRunner`]s (slow; used by tests to prove
-    /// preemption transparency). Cycle numbers are identical either way.
-    pub functional: bool,
 }
 
 impl ServeSpec {
-    /// A serving cell with the given knobs and functional mode off.
+    /// A serving cell with the given knobs.
     ///
     /// The knob list mirrors the cell coordinates of the serving grid
     /// one-for-one; bundling them into an options struct would just
@@ -240,7 +236,6 @@ impl ServeSpec {
             config: config.clone(),
             npus,
             requests,
-            functional: false,
         }
     }
 
@@ -318,9 +313,6 @@ pub struct ServeReport {
     pub switch_cycles: u64,
     /// Security-metadata bytes the switches moved.
     pub switch_meta_bytes: u64,
-    /// Functional-mode outputs verified against unpreempted references
-    /// (zero when [`ServeSpec::functional`] is off).
-    pub verified_outputs: u64,
     /// Cycle the last NPU went idle.
     pub makespan: u64,
 }
@@ -368,14 +360,11 @@ struct ModelData {
     durations: Vec<u64>,
     /// Unsecure end-to-end cycles (offered-load normalization).
     unsecure_total: u64,
-    /// Bytes of the version table a treeless switch must spill when the
-    /// table is fully merged: one [`ENTRY_BYTES`] entry per registered
-    /// tensor. This is the modeled fallback — a context holding a
-    /// tile-expanded tensor at switch time spills more, and the charge
-    /// sites prefer the live size from the runner or its snapshot.
+    /// Bytes of the version table a treeless switch spills: one
+    /// [`ENTRY_BYTES`] entry per registered tensor. A static model's
+    /// table is fully merged at every layer boundary, so this is the live
+    /// size at every switch.
     vt_bytes: u64,
-    /// Functional-memory size in blocks.
-    data_blocks: u64,
 }
 
 /// Process-wide memo for [`ModelData`]: the per-layer service trace of a
@@ -437,7 +426,6 @@ fn model_data_uncached(
         unsecure_total,
         // A fresh context's table, exactly as the static session registers it.
         vt_bytes: register_tensors(&model, &layout, false).0.storage_bytes(),
-        data_blocks: layout.total_bytes.div_ceil(BLOCK_SIZE as u64).max(1),
     }
 }
 
@@ -476,10 +464,9 @@ impl Switcher {
     /// `vt_bytes` must be the *live* table size — a tensor that is
     /// tile-expanded at switch time (a decode session's KV cache
     /// mid-sequence) spills one entry per tile, not one per tensor.
-    /// Callers with a running [`SecureRunner`] or a [`SessionSnapshot`]
-    /// take the size from there; the modeled (non-functional) path may
-    /// use the static per-tensor count only because static models are
-    /// fully merged at every layer boundary.
+    /// Sessions take the size from their live table; [`simulate`] may use
+    /// the static per-tensor count only because static models are fully
+    /// merged at every layer boundary.
     pub(crate) fn charge(&mut self, vt_bytes: u64, out: bool) -> u64 {
         if self.scheme == Scheme::Unsecure {
             return 0;
@@ -520,14 +507,6 @@ impl Switcher {
     }
 }
 
-/// Pre-drawn identity of one request (model pick + input seed). Arrival
-/// times come from the gap stream (open loop) or completions (closed
-/// loop).
-struct Template {
-    entry: usize,
-    seed: u64,
-}
-
 enum Event {
     Arrive(usize),
     LayerDone { req: usize, npu: usize },
@@ -540,9 +519,6 @@ struct Ctx {
     next_layer: usize,
     start: Option<u64>,
     preemptions: u32,
-    runner: Option<SecureRunner<Box<dyn FunctionalMemory>>>,
-    snapshot: Option<SessionSnapshot>,
-    reference: Option<Vec<u8>>,
 }
 
 /// Simulate one serving cell.
@@ -552,9 +528,7 @@ struct Ctx {
 /// # Panics
 ///
 /// Panics if the spec is degenerate (no NPUs, no requests, unregistered
-/// model) or, in functional mode, if a verified output ever differs from
-/// its unpreempted reference — that would be a correctness bug, not a
-/// measurement.
+/// model).
 #[must_use]
 pub fn simulate(spec: &ServeSpec) -> ServeReport {
     assert!(spec.npus >= 1, "a pool needs at least one NPU");
@@ -562,7 +536,6 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
     let base = spec.stream_seed();
     let mut gap_rng = SplitMix64::stream(base, 0);
     let mut pick_rng = SplitMix64::stream(base, 1);
-    let mut seed_rng = SplitMix64::stream(base, 2);
 
     // Per-model service/spill data, memoized by model name.
     let mut data: BTreeMap<&str, Arc<ModelData>> = BTreeMap::new();
@@ -582,8 +555,10 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
         .sum::<u128>()
         / u128::from(total_weight)) as u64;
 
-    // Request identities, in arrival order (scheme/policy-free).
-    let templates: Vec<Template> = (0..spec.requests)
+    // Each request's mix entry, in arrival order (scheme/policy-free).
+    // Arrival times come from the gap stream (open loop) or completions
+    // (closed loop).
+    let picks: Vec<usize> = (0..spec.requests)
         .map(|_| {
             let mut roll = pick_rng.next_below(total_weight);
             let mut entry = 0;
@@ -595,10 +570,7 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                 }
                 roll -= w;
             }
-            Template {
-                entry,
-                seed: seed_rng.next_u64(),
-            }
+            entry
         })
         .collect();
 
@@ -662,7 +634,6 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
     let mut outcomes: Vec<Option<RequestOutcome>> = (0..spec.requests).map(|_| None).collect();
     let mut dispatches = 0u64;
     let mut preemptions = 0u64;
-    let mut verified = 0u64;
     let mut makespan = 0u64;
     let mut done = 0usize;
 
@@ -672,33 +643,13 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
         makespan = makespan.max(now);
         match event {
             Event::Arrive(rid) => {
-                let tpl = &templates[rid];
-                let entry = &spec.mix.entries[tpl.entry];
-                let (runner, reference) = if spec.functional {
-                    let model = registry::model(&entry.model).expect("registered");
-                    let blocks = data[entry.model.as_str()].data_blocks;
-                    let key = Key128::derive(format!("serve-{}-{rid}", spec.mix.name).as_bytes());
-                    let mem = build_functional(spec.scheme, key, blocks);
-                    let runner = SecureRunner::with_memory(&model, mem, tpl.seed);
-                    // Unpreempted reference over plain memory: what the
-                    // tenant must observe no matter how we schedule it.
-                    let unsec: Box<dyn FunctionalMemory> = Box::new(UnsecureMemory::new());
-                    let mut reference = SecureRunner::with_memory(&model, unsec, tpl.seed);
-                    reference.run().expect("reference run is clean");
-                    let out = reference.read_output().expect("reference output");
-                    (Some(runner), Some(out))
-                } else {
-                    (None, None)
-                };
+                let entry = &spec.mix.entries[picks[rid]];
                 ctxs[rid] = Some(Ctx {
-                    entry: tpl.entry,
+                    entry: picks[rid],
                     arrival: now,
                     next_layer: 0,
                     start: None,
                     preemptions: 0,
-                    runner,
-                    snapshot: None,
-                    reference,
                 });
                 pending.insert((rank(spec.policy, entry.priority), rid as u64));
             }
@@ -706,23 +657,11 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                 let ctx = ctxs[req].as_mut().expect("running context exists");
                 let entry = &spec.mix.entries[ctx.entry];
                 let md = &data[entry.model.as_str()];
-                if let Some(runner) = ctx.runner.as_mut() {
-                    runner.step().expect("serving layers are untampered");
-                }
                 ctx.next_layer += 1;
                 if ctx.next_layer == md.durations.len() {
                     // Complete: record the outcome, then pay the
                     // switch-out (final flush + TLB shoot-down) before
                     // the NPU can take the next context.
-                    if let Some(runner) = ctx.runner.as_mut() {
-                        let out = runner.read_output().expect("verified output");
-                        assert_eq!(
-                            Some(&out),
-                            ctx.reference.as_ref(),
-                            "scheduling must not change a tenant's output"
-                        );
-                        verified += 1;
-                    }
                     outcomes[req] = Some(RequestOutcome {
                         model: entry.model.clone(),
                         priority: entry.priority,
@@ -731,15 +670,8 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                         finish: now,
                         preemptions: ctx.preemptions,
                     });
-                    // Spill the live table: per-tile entries for any
-                    // still-expanded tensor, not the per-tensor count.
-                    let vt_bytes = ctx
-                        .runner
-                        .as_ref()
-                        .map_or(md.vt_bytes, |r| r.version_table().storage_bytes());
-                    ctx.runner = None;
                     done += 1;
-                    let out_cycles = switcher.charge(vt_bytes, true);
+                    let out_cycles = switcher.charge(md.vt_bytes, true);
                     push(&mut events, &mut seq, now + out_cycles, Event::NpuFree(npu));
                     if issued < spec.requests {
                         // Closed loop: the finishing client submits its
@@ -757,17 +689,8 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                     if preempt {
                         ctx.preemptions += 1;
                         preemptions += 1;
-                        if let Some(runner) = ctx.runner.as_ref() {
-                            ctx.snapshot = Some(runner.suspend().expect("clean suspend"));
-                        }
                         pending.insert((my_rank, req as u64));
-                        // The snapshot carries the live table image —
-                        // bill exactly what it spills.
-                        let vt_bytes = ctx
-                            .snapshot
-                            .as_ref()
-                            .map_or(md.vt_bytes, SessionSnapshot::table_bytes);
-                        let out_cycles = switcher.charge(vt_bytes, true);
+                        let out_cycles = switcher.charge(md.vt_bytes, true);
                         push(&mut events, &mut seq, now + out_cycles, Event::NpuFree(npu));
                     } else {
                         let dur = md.durations[ctx.next_layer];
@@ -794,19 +717,8 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
             let ctx = ctxs[rid].as_mut().expect("pending context exists");
             let entry = &spec.mix.entries[ctx.entry];
             let md = &data[entry.model.as_str()];
-            // A resumption reloads the snapshot's table image; a first
-            // dispatch loads the freshly registered (merged) table.
-            let vt_bytes = ctx
-                .snapshot
-                .as_ref()
-                .map_or(md.vt_bytes, SessionSnapshot::table_bytes);
-            let in_cycles = switcher.charge(vt_bytes, false);
+            let in_cycles = switcher.charge(md.vt_bytes, false);
             dispatches += 1;
-            if let Some(snapshot) = ctx.snapshot.take() {
-                if let Some(runner) = ctx.runner.as_mut() {
-                    runner.resume(&snapshot).expect("epoch-fresh resume");
-                }
-            }
             let start = now + in_cycles;
             ctx.start.get_or_insert(start);
             let dur = md.durations[ctx.next_layer];
@@ -832,31 +744,16 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
         preemptions,
         switch_cycles: switcher.cycles,
         switch_meta_bytes: switcher.meta_bytes,
-        verified_outputs: verified,
         makespan,
     }
 }
 
-/// The version-table bytes a context switch of `model` must spill under
-/// the treeless scheme — exposed for the bench tables.
-///
-/// # Panics
-///
-/// Panics if the model is not registered.
-#[must_use]
-pub fn spill_bytes(model: &str) -> u64 {
-    let m = registry::model(model).unwrap_or_else(|| panic!("model {model:?} not registered"));
-    let layout = ModelLayout::allocate(&m, Addr(0));
-    register_tensors(&m, &layout, false).0.storage_bytes()
-}
-
-// Referenced by the module docs.
-#[allow(unused_imports)]
-use VersionTable as _DocOnly;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure_runner::SecureRunner;
+    use tnpu_crypto::Key128;
+    use tnpu_memprot::functional::UnsecureMemory;
 
     fn mix() -> TrafficMix {
         TrafficMix::new("quick", &[("ncf", 3, 0), ("sent", 1, 2)])
@@ -966,18 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn preempted_functional_outputs_match_unpreempted_references() {
-        let mut s = contended(Scheme::Treeless, Policy::Preemptive);
-        s.functional = true;
-        let r = simulate(&s);
-        assert_eq!(r.verified_outputs, 20, "every output verified");
-        assert!(
-            r.preemptions > 0,
-            "the equivalence claim needs actual preemptions"
-        );
-    }
-
-    #[test]
     fn bursty_arrivals_queue_harder_than_poisson() {
         let poisson = simulate(&spec(
             Scheme::Treeless,
@@ -1019,7 +904,6 @@ mod tests {
             preemptions: 0,
             switch_cycles: 0,
             switch_meta_bytes: 0,
-            verified_outputs: 0,
             makespan: 100,
         };
         let r = mk(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
@@ -1066,27 +950,51 @@ mod tests {
         );
     }
 
-    /// Static models are fully merged at every layer boundary, so the
-    /// live table a functional run spills equals the modeled per-tensor
-    /// fallback — the spill-sizing fix cannot move the quick serving
-    /// grid (and `serve_reduced.txt` stays byte-identical).
+    /// The modeled charge is exact: at every switch a request can take
+    /// (first dispatch, each layer boundary, completion), the table a live
+    /// tree-less session spills is the fresh merged table `simulate`
+    /// charges. Suspending and resuming at every boundary also leaves the
+    /// tenant's output equal to an unpreempted run's. Runs the test mix's
+    /// models and an embedding model, whose gathers read table rows.
     #[test]
-    fn functional_switch_charges_match_modeled() {
-        let mut functional = contended(Scheme::Treeless, Policy::Preemptive);
-        functional.functional = true;
-        let modeled = contended(Scheme::Treeless, Policy::Preemptive);
-        let rf = simulate(&functional);
-        let rm = simulate(&modeled);
-        assert!(rf.preemptions > 0, "the comparison needs live snapshots");
-        assert_eq!(rf.switch_cycles, rm.switch_cycles);
-        assert_eq!(rf.switch_meta_bytes, rm.switch_meta_bytes);
-    }
+    fn every_boundary_spills_the_modeled_table_and_resumes_transparently() {
+        let tiny_embed = tnpu_models::ModelBuilder::new("tiny-embed", "TinyEmbed", (1, 1, 8))
+            .embedding("emb", 64, 16, 4)
+            .fc("fc", 8)
+            .build();
+        let mut models: Vec<_> = mix()
+            .entries
+            .iter()
+            .map(|e| registry::model(&e.model).expect("registered"))
+            .collect();
+        models.push(tiny_embed);
+        for model in &models {
+            let layout = ModelLayout::allocate(model, Addr(0));
+            let modeled = register_tensors(model, &layout, false).0.storage_bytes();
+            let seed = 0x5E_4E;
+            let mut reference = SecureRunner::with_memory(model, UnsecureMemory::new(), seed);
+            reference.run().expect("unprotected run cannot fail");
+            let want = reference.read_output().expect("reference output");
 
-    #[test]
-    fn spill_bytes_counts_registered_tensors() {
-        // ncf: input + per-layer outputs + non-shared weights, 8 B each.
-        let bytes = spill_bytes("ncf");
-        assert!(bytes >= 3 * ENTRY_BYTES, "got {bytes}");
-        assert_eq!(bytes % ENTRY_BYTES, 0);
+            let mut r = SecureRunner::new(model, Key128::derive(b"serve-boundaries"), seed);
+            let mut boundary = 0;
+            loop {
+                let snap = r.suspend().expect("boundary suspend");
+                assert_eq!(
+                    snap.table_bytes(),
+                    modeled,
+                    "{} boundary {boundary}",
+                    model.name
+                );
+                if r.is_finished() {
+                    break;
+                }
+                r.resume(&snap).expect("a fresh snapshot resumes");
+                r.step().expect("clean step");
+                boundary += 1;
+            }
+            assert_eq!(boundary, model.layers.len());
+            assert_eq!(r.read_output().expect("verifies"), want, "{}", model.name);
+        }
     }
 }

@@ -75,6 +75,13 @@ pub enum VersionError {
         /// The context's current epoch.
         current: u64,
     },
+    /// A snapshot of the current epoch was offered for resume but differs
+    /// from the context's live state: an older snapshot of the context
+    /// itself, or another context's. Restoring it would rewind versions
+    /// under unchanged keys, so a later rewrite would repeat a version its
+    /// address already carried and the older ciphertext would verify
+    /// again. The resume is refused and the table is left untouched.
+    SnapshotMismatch,
 }
 
 impl std::fmt::Display for VersionError {
@@ -99,6 +106,11 @@ impl std::fmt::Display for VersionError {
                      (pre-sweep versions would rewind — replay hazard)"
                 )
             }
+            VersionError::SnapshotMismatch => write!(
+                f,
+                "snapshot differs from the live state of its epoch \
+                 (versions would rewind under unchanged keys — replay hazard)"
+            ),
         }
     }
 }

@@ -17,21 +17,19 @@
 //! [`symbols`]/[`callgraph`] assemble a workspace-wide call graph for the
 //! semantic rule families (engine-bypass reachability, panic-path audit,
 //! error-variant consumption). [`lint_root`] reads and analyzes every
-//! file in one sequential pass, then scopes each finding by path (defaults
-//! overridable via `lint.toml`, parsed by [`config`]) and filters through
+//! file in one sequential pass, then scopes each finding by path (each
+//! rule's scope is compiled into [`rules`]) and filters through
 //! allow comments and test-region exemptions — tracking which allow
 //! comments actually fired, so stale justifications can be denied
 //! (`--deny-unused-allows`).
 
 pub mod callgraph;
-pub mod config;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 pub mod sarif;
 pub mod symbols;
 
-use config::{path_under, Config};
 use parser::ParsedFile;
 use rules::RULES;
 use std::collections::BTreeSet;
@@ -65,8 +63,15 @@ impl std::fmt::Display for Diagnostic {
 /// Pseudo-rule id for `--deny-unused-allows` findings.
 pub const UNUSED_ALLOW_RULE: &str = "unused-allow";
 
+/// Directories walked for `.rs` files, relative to the workspace root.
+pub const ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
+
+/// Path prefixes skipped entirely. The lint fixtures are deliberately bad
+/// code; `target` and `vendor` never hold first-party sources.
+const SKIP: &[&str] = &["crates/lint/tests/fixtures", "target", "vendor"];
+
 /// Everything the analysis extracts from one file, independent of
-/// configuration: scope filtering, allow filtering, and the semantic rules
+/// its path scope: scope filtering, allow filtering, and the semantic rules
 /// all run downstream of this.
 #[derive(Debug)]
 pub struct AnalyzedFile {
@@ -102,101 +107,26 @@ pub fn analyze_source(path: &str, src: &str) -> AnalyzedFile {
     }
 }
 
-/// Reject `lint.toml` overrides naming rules that do not exist (typos would
-/// otherwise silently disable nothing), and malformed path patterns in any
-/// scope list (a glob that never matches would silently widen a rule).
-///
-/// # Errors
-///
-/// A pointed description of the offending entry.
-pub fn validate_config(config: &Config) -> Result<(), String> {
-    for id in config.rules.keys() {
-        if !rules::any_rule_by_id(id) {
-            return Err(format!(
-                "lint.toml: unknown rule `{id}` (see --list-rules for the catalogue)"
-            ));
-        }
-    }
-    for (what, list) in [("roots", &config.roots), ("skip", &config.skip)] {
-        for p in list {
-            validate_path_pattern(p)
-                .map_err(|e| format!("lint.toml: bad `{what}` entry `{p}`: {e}"))?;
-        }
-    }
-    for (id, over) in &config.rules {
-        for (what, list) in [("include", &over.include), ("exclude", &over.exclude)] {
-            if let Some(list) = list {
-                for p in list {
-                    validate_path_pattern(p).map_err(|e| {
-                        format!("lint.toml: bad `{what}` entry `{p}` for rule `{id}`: {e}")
-                    })?;
-                }
-            }
-        }
-    }
-    Ok(())
+/// Whether `path` (workspace-relative, `/`-separated) is under `prefix`,
+/// matching whole components (`crates/sim` covers `crates/sim/src/x.rs`
+/// but not `crates/simulator/x.rs`).
+fn path_under(path: &str, prefix: &str) -> bool {
+    path == prefix
+        || path
+            .strip_prefix(prefix)
+            .is_some_and(|rest| rest.starts_with('/'))
 }
 
-/// Scope patterns are plain path prefixes matched per component — not
-/// globs. Reject anything that can only be a mistake: glob metacharacters
-/// (which `path_under` would match literally, i.e. never), backslashes,
-/// absolute or `.`-relative paths, and empty components.
-fn validate_path_pattern(p: &str) -> Result<(), String> {
-    if p.is_empty() {
-        return Err("empty pattern".to_owned());
-    }
-    if let Some(c) = p.chars().find(|c| matches!(c, '*' | '?' | '[' | ']')) {
-        return Err(format!(
-            "`{c}` is a glob metacharacter, but scopes are literal path \
-             prefixes (write `crates/sim`, not `crates/sim/**`)"
-        ));
-    }
-    if p.contains('\\') {
-        return Err("use `/` separators".to_owned());
-    }
-    if p.starts_with('/') || p.ends_with('/') {
-        return Err("no leading/trailing `/` (patterns are workspace-relative)".to_owned());
-    }
-    if p.split('/').any(|c| c == "." || c == "..") {
-        return Err("no `.` or `..` components".to_owned());
-    }
-    Ok(())
-}
-
-/// Whether the rule `id` with the given scope defaults applies to `path`
-/// under `config`'s overrides. Shared by lexical and semantic rules.
-fn scope_applies(
-    config: &Config,
-    id: &str,
-    default_include: &[&str],
-    default_exclude: &[&str],
-    exempt_tests: bool,
-    path: &str,
-) -> bool {
-    let over = config.rules.get(id);
-    if let Some(o) = over {
-        if o.enabled == Some(false) {
-            return false;
-        }
-    }
-    let include: Vec<&str> = match over.and_then(|o| o.include.as_ref()) {
-        Some(v) => v.iter().map(String::as_str).collect(),
-        None => default_include.to_vec(),
-    };
-    let exclude: Vec<&str> = match over.and_then(|o| o.exclude.as_ref()) {
-        Some(v) => v.iter().map(String::as_str).collect(),
-        None => default_exclude.to_vec(),
-    };
+/// Whether a rule with this scope applies to `path`. Shared by lexical
+/// and semantic rules.
+fn scope_applies(include: &[&str], exclude: &[&str], exempt_tests: bool, path: &str) -> bool {
     if !include.is_empty() && !include.iter().any(|p| path_under(path, p)) {
         return false;
     }
     if exclude.iter().any(|p| path_under(path, p)) {
         return false;
     }
-    if exempt_tests && in_test_dir(path) {
-        return false;
-    }
-    true
+    !(exempt_tests && in_test_dir(path))
 }
 
 /// Whether `path` lives in a directory conventionally holding test,
@@ -219,7 +149,7 @@ pub struct Report {
 /// Apply scoping, test-region, and allow filtering to raw findings and run
 /// the semantic rules; track which allow comments fired.
 #[must_use]
-pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
+pub fn report(files: &[AnalyzedFile]) -> Report {
     let mut diagnostics = Vec::new();
     // (file index, allow-comment line, rule id) triples that suppressed at
     // least one finding.
@@ -229,14 +159,7 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
     for (fi, file) in files.iter().enumerate() {
         for (rule_id, line, message) in &file.lexical {
             let rule = rules::rule_by_id(rule_id).expect("lexical rules are registered");
-            if !scope_applies(
-                config,
-                rule.id,
-                rule.include,
-                rule.exclude,
-                rule.exempt_tests,
-                &file.path,
-            ) {
+            if !scope_applies(rule.include, rule.exclude, rule.exempt_tests, &file.path) {
                 continue;
             }
             if rule.exempt_tests && file.side.in_test_region(*line) {
@@ -268,14 +191,7 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
     for finding in callgraph::analyze(&ws) {
         let file = &files[finding.file];
         let rule = rules::sem_rule_by_id(finding.rule).expect("semantic rules are registered");
-        if !scope_applies(
-            config,
-            rule.id,
-            rule.include,
-            rule.exclude,
-            rule.exempt_tests,
-            &file.path,
-        ) {
+        if !scope_applies(rule.include, rule.exclude, rule.exempt_tests, &file.path) {
             continue;
         }
         if rule.exempt_tests && file.side.in_test_region(finding.line) {
@@ -334,12 +250,12 @@ pub fn report(files: &[AnalyzedFile], config: &Config) -> Report {
 /// Lint a set of in-memory sources as one workspace (lexical + semantic
 /// rules). This is what the fixture tests drive.
 #[must_use]
-pub fn lint_sources(sources: &[(&str, &str)], config: &Config) -> Vec<Diagnostic> {
+pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
     let files: Vec<AnalyzedFile> = sources
         .iter()
         .map(|(path, src)| analyze_source(path, src))
         .collect();
-    report(&files, config).diagnostics
+    report(&files).diagnostics
 }
 
 /// Lint one file's source as if it lived at workspace-relative `path`.
@@ -347,15 +263,15 @@ pub fn lint_sources(sources: &[(&str, &str)], config: &Config) -> Vec<Diagnostic
 /// Semantic rules see a one-file workspace: cross-file reachability cannot
 /// fire, which is exactly right for single-file lexical fixtures.
 #[must_use]
-pub fn lint_file(path: &str, src: &str, config: &Config) -> Vec<Diagnostic> {
-    lint_sources(&[(path, src)], config)
+pub fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
+    lint_sources(&[(path, src)])
 }
 
-/// Lint every `.rs` file under `root`'s configured roots: read and
-/// analyze each file in turn, then report workspace-wide. Output is
-/// deterministic (sorted).
+/// Lint every `.rs` file under `root`'s [`ROOTS`]: read and analyze each
+/// file in turn, then report workspace-wide. Output is deterministic
+/// (sorted).
 ///
-/// A configured root that does not exist is skipped, but a missing `root`
+/// A root directory that does not exist is skipped, but a missing `root`
 /// or a walk that finds no `.rs` file at all is an error: a run over
 /// nothing would otherwise report a clean workspace.
 ///
@@ -364,24 +280,21 @@ pub fn lint_file(path: &str, src: &str, config: &Config) -> Vec<Diagnostic> {
 /// A missing `root`, an empty walk, and I/O errors from the walk;
 /// unreadable files are errors, not skips, so CI cannot silently
 /// under-lint.
-pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
+pub fn lint_root(root: &Path) -> io::Result<Report> {
     if !root.is_dir() {
         return Err(io::Error::new(io::ErrorKind::NotFound, "not a directory"));
     }
     let mut paths = Vec::new();
-    for top in &config.roots {
+    for top in ROOTS {
         let dir = root.join(top);
         if dir.is_dir() {
-            collect_rs_files(&dir, root, config, &mut paths)?;
+            collect_rs_files(&dir, root, &mut paths)?;
         }
     }
     if paths.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
-            format!(
-                "no `.rs` file under the configured roots ({})",
-                config.roots.join(", ")
-            ),
+            format!("no `.rs` file under the roots ({})", ROOTS.join(", ")),
         ));
     }
     paths.sort();
@@ -390,17 +303,12 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
         .iter()
         .map(|rel| Ok(analyze_source(rel, &fs::read_to_string(root.join(rel))?)))
         .collect::<io::Result<_>>()?;
-    Ok(report(&files, config))
+    Ok(report(&files))
 }
 
-/// Recursively collect workspace-relative `.rs` paths, honouring the
-/// config's skip list and ignoring hidden and build directories.
-fn collect_rs_files(
-    dir: &Path,
-    root: &Path,
-    config: &Config,
-    out: &mut Vec<String>,
-) -> io::Result<()> {
+/// Recursively collect workspace-relative `.rs` paths, honouring
+/// [`SKIP`] and ignoring hidden and build directories.
+fn collect_rs_files(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> {
     let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<io::Result<_>>()?;
     entries.sort_by_key(std::fs::DirEntry::file_name);
     for entry in entries {
@@ -415,14 +323,14 @@ fn collect_rs_files(
             .expect("walk stays under root")
             .to_string_lossy()
             .replace('\\', "/");
-        if config.skip.iter().any(|s| path_under(&rel, s)) {
+        if SKIP.iter().any(|s| path_under(&rel, s)) {
             continue;
         }
         if path.is_dir() {
             if name == "target" {
                 continue;
             }
-            collect_rs_files(&path, root, config, out)?;
+            collect_rs_files(&path, root, out)?;
         } else if name.ends_with(".rs") {
             out.push(rel);
         }
@@ -436,88 +344,39 @@ mod tests {
 
     #[test]
     fn allow_comment_waives_a_line() {
-        let cfg = Config::default();
         let bad = "use std::collections::HashMap;\n";
-        assert_eq!(lint_file("crates/sim/src/x.rs", bad, &cfg).len(), 1);
+        assert_eq!(lint_file("crates/sim/src/x.rs", bad).len(), 1);
         let allowed =
             "// tnpu-lint: allow(hash-collections) — keys never iterated\nuse std::collections::HashMap;\n";
-        assert!(lint_file("crates/sim/src/x.rs", allowed, &cfg).is_empty());
+        assert!(lint_file("crates/sim/src/x.rs", allowed).is_empty());
     }
 
     #[test]
     fn scope_is_path_sensitive() {
-        let cfg = Config::default();
         let src = "let t = Instant::now();";
-        assert_eq!(lint_file("crates/sim/src/x.rs", src, &cfg).len(), 1);
+        assert_eq!(lint_file("crates/sim/src/x.rs", src).len(), 1);
         // bench is outside the wallclock scope: job timing is allowed there.
-        assert!(lint_file("crates/bench/src/x.rs", src, &cfg).is_empty());
+        assert!(lint_file("crates/bench/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn cfg_test_regions_are_exempt() {
-        let cfg = Config::default();
         let src = "#[cfg(test)]\nmod tests {\n  use std::collections::HashMap;\n}\n";
-        assert!(lint_file("crates/sim/src/x.rs", src, &cfg).is_empty());
+        assert!(lint_file("crates/sim/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn test_dirs_are_exempt_for_exempting_rules() {
-        let cfg = Config::default();
         let src = "use std::collections::HashMap;";
-        assert!(lint_file("crates/sim/tests/x.rs", src, &cfg).is_empty());
-        assert!(lint_file("examples/x.rs", src, &cfg).is_empty());
+        assert!(lint_file("crates/sim/tests/x.rs", src).is_empty());
+        assert!(lint_file("examples/x.rs", src).is_empty());
     }
 
     #[test]
-    fn config_can_disable_and_rescope() {
-        let cfg = Config::parse(
-            "[rules.hash-collections]\nenabled = false\n\n[rules.wallclock]\ninclude = [\"crates/bench\"]\n",
-        )
-        .expect("valid config");
-        assert!(lint_file(
-            "crates/sim/src/x.rs",
-            "use std::collections::HashMap;",
-            &cfg
-        )
-        .is_empty());
-        assert_eq!(
-            lint_file("crates/bench/src/x.rs", "Instant::now()", &cfg).len(),
-            1
-        );
-    }
-
-    #[test]
-    fn unknown_rule_in_config_is_rejected() {
-        let cfg = Config::parse("[rules.no-such-rule]\nenabled = false\n").expect("parses");
-        assert!(validate_config(&cfg).is_err());
-        assert!(validate_config(&Config::default()).is_ok());
-    }
-
-    #[test]
-    fn semantic_rule_ids_are_valid_config_keys() {
-        let cfg = Config::parse("[rules.engine-bypass]\nenabled = false\n").expect("parses");
-        assert!(validate_config(&cfg).is_ok());
-    }
-
-    #[test]
-    fn malformed_path_patterns_are_rejected_with_pointed_messages() {
-        for (toml, needle) in [
-            (
-                "[rules.wallclock]\ninclude = [\"crates/sim/**\"]\n",
-                "glob metacharacter",
-            ),
-            (
-                "[rules.wallclock]\nexclude = [\"/crates/sim\"]\n",
-                "leading/trailing",
-            ),
-            ("roots = [\"crates\\\\sim\"]\n", "separators"),
-            ("skip = [\"crates/../etc\"]\n", "components"),
-            ("roots = [\"\"]\n", "empty"),
-        ] {
-            let cfg = Config::parse(toml).expect("parses syntactically");
-            let err = validate_config(&cfg).expect_err(toml);
-            assert!(err.contains(needle), "`{toml}` -> `{err}`");
-        }
+    fn path_prefix_matches_components() {
+        assert!(path_under("crates/sim/src/rng.rs", "crates/sim"));
+        assert!(!path_under("crates/simulator/src/x.rs", "crates/sim"));
+        assert!(path_under("crates/sim", "crates/sim"));
     }
 
     #[test]
@@ -533,13 +392,12 @@ mod tests {
 
     #[test]
     fn unused_allows_are_reported_and_used_ones_are_not() {
-        let cfg = Config::default();
         let src = "// tnpu-lint: allow(hash-collections) — used below\n\
                    use std::collections::HashMap;\n\
                    // tnpu-lint: allow(wallclock) — nothing here reads a clock\n\
                    let x = 1;\n";
         let files = vec![analyze_source("crates/sim/src/x.rs", src)];
-        let rep = report(&files, &cfg);
+        let rep = report(&files);
         assert!(rep.diagnostics.is_empty(), "{:?}", rep.diagnostics);
         assert_eq!(rep.unused_allows.len(), 1, "{:?}", rep.unused_allows);
         assert_eq!(rep.unused_allows[0].line, 3);

@@ -3,7 +3,7 @@
 //! The `tnpu-lint` binary.
 //!
 //! ```text
-//! tnpu-lint [--root DIR] [--config FILE] [--deny-all] [--list-rules]
+//! tnpu-lint [--root DIR] [--deny-all] [--list-rules]
 //!           [--format text|sarif] [--deny-unused-allows]
 //! ```
 //!
@@ -11,18 +11,16 @@
 //! `file:line: rule: message` diagnostic per violation to stdout (or a
 //! SARIF 2.1.0 log with `--format sarif`), and a summary to stderr. Exit
 //! codes: `0` clean (or advisory mode), `1` violations under `--deny-all`
-//! (or stale allows under `--deny-unused-allows`), `2` usage/config/I/O
+//! (or stale allows under `--deny-unused-allows`), `2` usage or I/O
 //! error, including a missing root or a walk that finds no `.rs` file.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tnpu_lint::config::Config;
 use tnpu_lint::rules::{RULES, SEM_RULES};
-use tnpu_lint::{lint_root, sarif, validate_config};
+use tnpu_lint::{lint_root, sarif};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
     let mut deny_all = false;
     let mut deny_unused_allows = false;
     let mut list_rules = false;
@@ -34,10 +32,6 @@ fn main() -> ExitCode {
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage_error("--root needs a directory"),
-            },
-            "--config" => match args.next() {
-                Some(file) => config_path = Some(PathBuf::from(file)),
-                None => return usage_error("--config needs a file"),
             },
             "--format" => match args.next().as_deref() {
                 Some("text") => format_sarif = false,
@@ -52,7 +46,7 @@ fn main() -> ExitCode {
             "--list-rules" => list_rules = true,
             "--help" | "-h" => {
                 println!(
-                    "tnpu-lint [--root DIR] [--config FILE] [--deny-all] [--list-rules]\n\
+                    "tnpu-lint [--root DIR] [--deny-all] [--list-rules]\n\
                      \x20         [--format text|sarif] [--deny-unused-allows]\n\
                      Workspace linter for determinism, unit-safety, security, and\n\
                      robustness invariants. See LINTS.md for the rule catalogue."
@@ -73,24 +67,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let config_file = config_path.unwrap_or_else(|| root.join("lint.toml"));
-    let config = if config_file.is_file() {
-        let src = match std::fs::read_to_string(&config_file) {
-            Ok(s) => s,
-            Err(e) => return tool_error(&format!("{}: {e}", config_file.display())),
-        };
-        match Config::parse(&src) {
-            Ok(c) => c,
-            Err(e) => return tool_error(&e.to_string()),
-        }
-    } else {
-        Config::default()
-    };
-    if let Err(e) = validate_config(&config) {
-        return tool_error(&e);
-    }
-
-    let report = match lint_root(&root, &config) {
+    let report = match lint_root(&root) {
         Ok(r) => r,
         Err(e) => return tool_error(&format!("walking {}: {e}", root.display())),
     };

@@ -12,9 +12,9 @@
 //!   hardware property in MGX/GuardNN; here only tooling can enforce it.
 //!
 //! Every rule is a token-pattern scan over [`LexedFile`] — deliberately
-//! simple, so the linter stays dependency-free and auditable. Each rule
-//! documents its default path scope; `lint.toml` can widen, narrow, or
-//! disable any of them, and `// tnpu-lint: allow(rule-id)` on (or directly
+//! simple, so the linter stays dependency-free and auditable. Each rule's
+//! path scope is compiled in here (`tests/workspace.rs` checks that every
+//! scope path exists), and `// tnpu-lint: allow(rule-id)` on (or directly
 //! above) a line waives that line with an in-code justification.
 
 use crate::lexer::{LexedFile, TokKind};
@@ -56,16 +56,16 @@ impl Family {
 
 /// A lint rule: scope defaults plus a token-pattern check.
 pub struct Rule {
-    /// Kebab-case id used in diagnostics, `lint.toml`, and allow comments.
+    /// Kebab-case id used in diagnostics and allow comments.
     pub id: &'static str,
     /// Rule family.
     pub family: Family,
     /// One-line description for `--list-rules`.
     pub summary: &'static str,
-    /// Default workspace-relative path prefixes (or exact files) the rule
-    /// applies to. Empty = everywhere.
+    /// Workspace-relative path prefixes (or exact files) the rule applies
+    /// to. Empty = everywhere.
     pub include: &'static [&'static str],
-    /// Default path prefixes exempt from the rule.
+    /// Path prefixes exempt from the rule.
     pub exclude: &'static [&'static str],
     /// Whether `#[cfg(test)]` regions and `tests/`, `benches/`, `examples/`
     /// directories are exempt.
@@ -94,12 +94,23 @@ const RESULT_CRATES: &[&str] = &[
 /// influence anything here.
 const SIMULATION_CRATES: &[&str] = &["crates/sim", "crates/memprot", "crates/npu", "crates/core"];
 
-/// The cycle/byte accounting modules where bare `+`/`*` are banned in
-/// favour of named saturating operations.
+/// The modules where bare `+`/`*` are banned in favour of named
+/// saturating or checked operations: the three cycle/byte accounting
+/// files, and four more where silent wrap-around is a correctness bug.
+/// `DmaPattern::bytes` once wrapped silently on oversized descriptors, so
+/// the DMA descriptor math is guarded, and so is the metadata-span
+/// grouping the run-batched engine paths charge costs through
+/// (`memprot/span.rs`). The fault injector's period/seed arithmetic
+/// (`memprot/faults.rs`) and the recovery layer's cycle accounting
+/// (`core/recovery.rs`) feed deterministic matrices.
 const ACCOUNTING_FILES: &[&str] = &[
     "crates/sim/src/cycles.rs",
     "crates/sim/src/stats.rs",
     "crates/npu/src/report.rs",
+    "crates/npu/src/dma.rs",
+    "crates/memprot/src/span.rs",
+    "crates/memprot/src/faults.rs",
+    "crates/core/src/recovery.rs",
 ];
 
 /// All rules, in the order diagnostics list them.
@@ -193,15 +204,15 @@ pub const RULES: &[Rule] = &[
 /// controls where *findings* are reported; evidence (calls, constructions,
 /// matches) is always gathered from the whole workspace.
 pub struct SemRule {
-    /// Kebab-case id used in diagnostics, `lint.toml`, and allow comments.
+    /// Kebab-case id used in diagnostics and allow comments.
     pub id: &'static str,
     /// Rule family.
     pub family: Family,
     /// One-line description for `--list-rules`.
     pub summary: &'static str,
-    /// Default path scope findings are reported in. Empty = everywhere.
+    /// Path scope findings are reported in. Empty = everywhere.
     pub include: &'static [&'static str],
-    /// Default path prefixes exempt from the rule.
+    /// Path prefixes exempt from the rule.
     pub exclude: &'static [&'static str],
     /// Whether test regions/directories are exempt.
     pub exempt_tests: bool,
@@ -226,7 +237,16 @@ pub const SEM_RULES: &[SemRule] = &[
         summary: "unwrap/expect/panic!/indexing reachable from the public \
                   Session/SecureNpuSession/serving API surface",
         include: &["crates/core", "crates/tee"],
-        exclude: &[],
+        // The attack harness and the serving driver are experiment code,
+        // not the security core: their panics are the assertion mechanism
+        // (an attack cell that reaches an impossible state must abort the
+        // experiment loudly, and the serving simulator's scheduler
+        // invariants are checked the same way). The exclusion only filters
+        // findings located in the two files: their pub fns still act as
+        // reachability roots, so every panic they can reach inside
+        // context/secure_runner/version/tee stays audited and must carry
+        // its own justification.
+        exclude: &["crates/core/src/attacks.rs", "crates/core/src/serving.rs"],
         exempt_tests: true,
     },
     SemRule {
@@ -258,12 +278,6 @@ pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
 #[must_use]
 pub fn sem_rule_by_id(id: &str) -> Option<&'static SemRule> {
     SEM_RULES.iter().find(|r| r.id == id)
-}
-
-/// Whether `id` names any rule, lexical or semantic.
-#[must_use]
-pub fn any_rule_by_id(id: &str) -> bool {
-    rule_by_id(id).is_some() || sem_rule_by_id(id).is_some()
 }
 
 fn check_hash_collections(lexed: &LexedFile, _path: &str) -> Vec<Finding> {

@@ -4,7 +4,6 @@
 
 use std::fs;
 use std::path::PathBuf;
-use tnpu_lint::config::Config;
 use tnpu_lint::{lint_file, lint_sources, Diagnostic};
 
 /// `(rule id, pretend workspace path the fixture is linted as)`.
@@ -43,7 +42,7 @@ fn sem_lint(rule: &str, path: &str, src: &str) -> Vec<Diagnostic> {
         ("crates/memprot/src/functional/mod.rs", engine.as_str()),
         (path, src),
     ];
-    lint_sources(&sources, &Config::default())
+    lint_sources(&sources)
         .into_iter()
         .filter(|d| d.rule == rule)
         .collect()
@@ -127,10 +126,9 @@ fn dram_bypass_catches_what_engine_bypass_does_not() {
 
 #[test]
 fn bad_fixtures_are_flagged() {
-    let config = Config::default();
     for (rule, path) in FIXTURES {
         let src = fixture(rule, "bad.rs");
-        let hits: Vec<_> = lint_file(path, &src, &config)
+        let hits: Vec<_> = lint_file(path, &src)
             .into_iter()
             .filter(|d| d.rule == *rule)
             .collect();
@@ -143,10 +141,9 @@ fn bad_fixtures_are_flagged() {
 
 #[test]
 fn good_fixtures_pass() {
-    let config = Config::default();
     for (rule, path) in FIXTURES {
         let src = fixture(rule, "good.rs");
-        let hits: Vec<_> = lint_file(path, &src, &config)
+        let hits: Vec<_> = lint_file(path, &src)
             .into_iter()
             .filter(|d| d.rule == *rule)
             .collect();
@@ -161,15 +158,14 @@ fn good_fixtures_pass() {
 fn bad_fixtures_escape_when_out_of_scope() {
     // The same bad snippets are fine where the rule does not apply: scope
     // is part of each rule's contract, not an accident of the walker.
-    let config = Config::default();
     let src = fixture("hash-collections", "bad.rs");
     assert!(
-        lint_file("tools/src/fixture.rs", &src, &config).is_empty(),
+        lint_file("tools/src/fixture.rs", &src).is_empty(),
         "hash-collections is scoped to result-feeding crates"
     );
     let src = fixture("wallclock", "bad.rs");
     assert!(
-        lint_file("crates/bench/src/fixture.rs", &src, &config)
+        lint_file("crates/bench/src/fixture.rs", &src)
             .iter()
             .all(|d| d.rule != "wallclock"),
         "wallclock is scoped to simulation crates; bench times jobs legally"

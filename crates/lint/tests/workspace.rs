@@ -7,9 +7,9 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use tnpu_lint::callgraph::API_TYPES;
-use tnpu_lint::config::Config;
 use tnpu_lint::lexer::{lex, TokKind};
-use tnpu_lint::{lint_root, validate_config};
+use tnpu_lint::rules::{RULES, SEM_RULES};
+use tnpu_lint::{lint_root, ROOTS};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -18,24 +18,9 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root exists")
 }
 
-/// Mirror the binary's config loading: `lint.toml` at the root if present,
-/// compiled-in defaults otherwise.
-fn workspace_config(root: &Path) -> Config {
-    let path = root.join("lint.toml");
-    if path.is_file() {
-        let src = std::fs::read_to_string(&path).expect("readable lint.toml");
-        Config::parse(&src).expect("valid lint.toml")
-    } else {
-        Config::default()
-    }
-}
-
 #[test]
 fn the_workspace_lints_clean() {
-    let root = workspace_root();
-    let config = workspace_config(&root);
-    validate_config(&config).expect("config names only known rules and sane patterns");
-    let report = lint_root(&root, &config).expect("walk succeeds");
+    let report = lint_root(&workspace_root()).expect("walk succeeds");
     assert!(
         report.diagnostics.is_empty(),
         "the workspace must lint clean; violations:\n{}",
@@ -82,6 +67,29 @@ fn declared_structs(dir: &Path, out: &mut BTreeSet<String>) {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn every_compiled_in_scope_path_exists() {
+    // Scopes are literal path prefixes: one that names no path matches
+    // nothing, so a typo would silently narrow an include or void an
+    // exclude, and nothing else would report it.
+    let root = workspace_root();
+    let scopes = RULES
+        .iter()
+        .map(|r| (r.id, r.include, r.exclude))
+        .chain(SEM_RULES.iter().map(|r| (r.id, r.include, r.exclude)));
+    for (id, include, exclude) in scopes {
+        for path in include.iter().chain(exclude) {
+            assert!(
+                root.join(path).exists(),
+                "{id}: scope path `{path}` does not exist"
+            );
+        }
+    }
+    for dir in ROOTS {
+        assert!(root.join(dir).is_dir(), "root `{dir}` is not a directory");
     }
 }
 
@@ -159,14 +167,14 @@ fn list_rules_names_every_rule() {
         .expect("binary runs");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in tnpu_lint::rules::RULES {
+    for rule in RULES {
         assert!(
             stdout.contains(rule.id),
             "--list-rules must mention {}",
             rule.id
         );
     }
-    for rule in tnpu_lint::rules::SEM_RULES {
+    for rule in SEM_RULES {
         assert!(
             stdout.contains(rule.id),
             "--list-rules must mention semantic rule {}",
@@ -176,39 +184,18 @@ fn list_rules_names_every_rule() {
 }
 
 #[test]
-fn unknown_rule_in_config_is_a_tool_error() {
-    let bad_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws-bad");
-    let config = bad_root.join("bad-config.toml");
-    std::fs::write(&config, "[rules.not-a-rule]\nenabled = false\n").expect("writable");
-    let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
-        .args(["--root", bad_root.to_str().expect("utf-8 path")])
-        .args(["--config", config.to_str().expect("utf-8 path")])
-        .output()
-        .expect("binary runs");
-    std::fs::remove_file(&config).ok();
-    assert_eq!(out.status.code(), Some(2), "config errors exit 2");
-}
-
-#[test]
-fn malformed_scope_pattern_in_config_is_a_tool_error() {
-    let bad_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws-bad");
-    let config = bad_root.join("bad-pattern-config.toml");
-    std::fs::write(
-        &config,
-        "[rules.wallclock]\ninclude = [\"crates/sim/**\"]\n",
-    )
-    .expect("writable");
-    let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
-        .args(["--root", bad_root.to_str().expect("utf-8 path")])
-        .args(["--config", config.to_str().expect("utf-8 path")])
-        .output()
-        .expect("binary runs");
-    std::fs::remove_file(&config).ok();
-    assert_eq!(out.status.code(), Some(2), "glob patterns exit 2");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("glob"),
-        "the error explains the problem"
-    );
+fn unknown_arguments_are_a_usage_error() {
+    for args in [
+        &["--config", "lint.toml"][..],
+        &["--bogus"],
+        &["--format", "json"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tnpu-lint"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+    }
 }
 
 #[test]

@@ -97,61 +97,9 @@ pub fn simulate_multi(
     )
 }
 
-/// Simulate two back-to-back inferences of `model` on one NPU and return
-/// `(cold_report, warm_cycles)`: the first inference runs with cold
-/// metadata caches; `warm_cycles` is the duration of the second, which
-/// reuses whatever counter/MAC state survived — the steady state of an NPU
-/// context serving a request stream (§V-D notes contexts commonly process
-/// many requests per loaded model).
-#[must_use]
-pub fn simulate_cold_warm(
-    model: &Model,
-    npu: &NpuConfig,
-    scheme: SchemeKind,
-) -> (RunReport, tnpu_sim::Cycles) {
-    use crate::alloc::ModelLayout;
-    use crate::controller::MemoryController;
-    use crate::machine::NpuMachine;
-
-    let protection = ProtectionConfig::paper_default();
-    let engine = build_engine(scheme, &protection);
-    let mut ctl = MemoryController::new(engine, npu);
-    let layout = ModelLayout::allocate(model, tnpu_sim::Addr(0));
-    let plan = tiler::plan(model, npu, &layout, 0xC01D);
-    let mut first = NpuMachine::new(&plan);
-    while !first.is_done() {
-        first.serve_next(&mut ctl);
-    }
-    let cold = first.into_report(&ctl);
-    let mut second = NpuMachine::new(&plan);
-    while !second.is_done() {
-        second.serve_next(&mut ctl);
-    }
-    let warm_finish = second.into_report(&ctl).total;
-    (cold.clone(), warm_finish.saturating_sub(cold.total))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn warm_runs_are_never_meaningfully_slower() {
-        // df's working set exceeds the metadata caches, so warm ~= cold;
-        // the warm run must never be more than noise slower (residual
-        // cache state costs nothing).
-        let model = tnpu_models::registry::model("df").expect("registered");
-        let cfg = NpuConfig::small_npu();
-        for scheme in [SchemeKind::TreeBased, SchemeKind::Treeless] {
-            let (cold, warm) = simulate_cold_warm(&model, &cfg, scheme);
-            assert!(warm.0 > 0);
-            assert!(
-                warm.as_f64() <= cold.total.as_f64() * 1.01,
-                "{scheme}: warm {warm} vs cold {}",
-                cold.total
-            );
-        }
-    }
 
     #[test]
     fn schemes_order_sanely_on_a_small_model() {
