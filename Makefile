@@ -50,10 +50,10 @@ results: build
 	diff -u results_full.txt target/experiments_all.txt
 	./target/release/experiments --threads 2 check
 
-# The README walkthroughs: every root example must run to exit 0.
+# The README walkthroughs: every crate example must run to exit 0.
 examples:
-	cargo build --release --examples --locked
-	for e in examples/*.rs; do \
+	cargo build --release --workspace --examples --locked
+	for e in crates/*/examples/*.rs; do \
 		name=$$(basename $$e .rs); echo "#### example $$name"; \
 		./target/release/examples/$$name || exit 1; \
 	done

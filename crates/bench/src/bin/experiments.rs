@@ -6,6 +6,9 @@
 //!          hwcost ext_scaling ablations all
 //! ```
 //!
+//! An unknown or repeated target exits 2 before any work, with nothing on
+//! stdout.
+//!
 //! Cells of each experiment run in parallel on a worker pool sized by
 //! `--threads N` (default: all cores). stdout is byte-identical at any
 //! thread count; the timing summary — per-job wall times and the
@@ -17,25 +20,41 @@ use tnpu_bench::cli::{self, Flag};
 use tnpu_bench::experiments::{self, model_list};
 use tnpu_bench::tables;
 
+/// What `all` (or no target) runs, in order.
+const ALL: &[&str] = &[
+    "table2",
+    "table3",
+    "fig4",
+    "fig5",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "vtable",
+    "hwcost",
+    "ablations",
+];
+
+/// Targets that run only when named.
+const NAMED_ONLY: &[&str] = &["csv", "check", "ext_scaling"];
+
 fn main() {
     let args = cli::from_env(&[Flag::Quick, Flag::Threads, Flag::BenchJson], true);
     let quick = args.quick;
-    let mut targets: Vec<&str> = args.words.iter().map(String::as_str).collect();
-    if targets.is_empty() || targets.contains(&"all") {
-        targets = vec![
-            "table2",
-            "table3",
-            "fig4",
-            "fig5",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "vtable",
-            "hwcost",
-            "ablations",
-        ];
+    let words: Vec<&str> = args.words.iter().map(String::as_str).collect();
+    // Every word is checked before any work, so a usage error prints nothing.
+    if let Some(bad) = words
+        .iter()
+        .find(|w| **w != "all" && !ALL.contains(w) && !NAMED_ONLY.contains(w))
+    {
+        eprintln!("unknown target: {bad}");
+        std::process::exit(2);
     }
+    let targets = if words.is_empty() || words.contains(&"all") {
+        ALL.to_vec()
+    } else {
+        words
+    };
     let models = model_list(quick);
 
     // Figures 4/5/14/15 share the single-NPU sweep; fig16 extends it.
@@ -88,10 +107,7 @@ fn main() {
                 s += &tnpu_bench::ablations::integrity_price(&["alex", "df", "sent", "ncf"]);
                 s
             }
-            other => {
-                eprintln!("unknown target: {other}");
-                std::process::exit(2);
-            }
+            other => unreachable!("target {other} was checked before the run"),
         };
         println!("==== {target} ====");
         println!("{rendered}");

@@ -9,8 +9,8 @@
 //! --bench-json PATH  append the run's pool timings to the JSON array in PATH
 //! ```
 //!
-//! A flag the binary does not take, a repeated flag, a missing or bad
-//! value, and a word where the binary takes none exit 2.
+//! A flag the binary does not take, a repeated flag or word, a missing or
+//! bad value, and a word where the binary takes none exit 2.
 
 use std::path::PathBuf;
 
@@ -71,6 +71,9 @@ pub fn parse(args: &[String], flags: &[Flag], words: bool) -> Result<Args, Strin
         if !arg.starts_with("--") {
             if !words {
                 return Err(format!("unexpected argument: {arg}"));
+            }
+            if out.words.contains(arg) {
+                return Err(format!("{arg} given twice"));
             }
             out.words.push(arg.clone());
             continue;
@@ -197,6 +200,7 @@ mod tests {
             ("--threads 1 --threads 8", ALL, true, "given twice"),
             ("--quick --quick", ALL, true, "given twice"),
             ("--bench-json a --bench-json b", ALL, true, "given twice"),
+            ("df ncf df", ALL, true, "given twice"),
         ] {
             let err = parse(&args(line), flags, words).expect_err(line);
             assert!(err.contains(needle), "`{line}` -> `{err}`");

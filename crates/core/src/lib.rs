@@ -38,9 +38,6 @@
 //! * [`serving`] — multi-tenant serving: arrival processes, FCFS and
 //!   priority-preemptive scheduling over an NPU pool, and faithful
 //!   context-switch cost accounting through the protection engines.
-//! * [`sensor`] — the sensor-to-enclave secure ingestion of Fig. 3
-//!   (encrypted, authenticated, replay-protected frames).
-//! * [`system`] — the [`TnpuSystem`] facade tying everything together.
 //!
 //! [`Session`]: secure_runner::Session
 //! [`Inference`]: secure_runner::Inference
@@ -54,14 +51,11 @@ pub mod instr;
 pub mod recovery;
 pub mod runspec;
 pub mod secure_runner;
-pub mod sensor;
 pub mod serving;
 pub mod stepped;
-pub mod system;
 pub mod version;
 
 pub use runspec::{RunResult, RunSpec};
-pub use system::{SystemError, SystemReport, TnpuSystem};
 pub use version::VersionTable;
 
 /// The protection scheme selector, re-exported under the paper's

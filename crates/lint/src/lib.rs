@@ -64,7 +64,7 @@ impl std::fmt::Display for Diagnostic {
 pub const UNUSED_ALLOW_RULE: &str = "unused-allow";
 
 /// Directories walked for `.rs` files, relative to the workspace root.
-pub const ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
+pub const ROOTS: &[&str] = &["crates"];
 
 /// Path prefixes skipped entirely. The lint fixtures are deliberately bad
 /// code; `target` and `vendor` never hold first-party sources.

@@ -87,7 +87,6 @@ const RESULT_CRATES: &[&str] = &[
     "crates/models",
     "crates/crypto",
     "crates/lint",
-    "src",
 ];
 
 /// Crates simulating hardware: wall clocks and host environment must not

@@ -76,7 +76,9 @@ mod tests {
         // Shared bandwidth: three NPUs contend, so the slowest of three
         // must exceed a lone NPU.
         let one = slowest(&run("df", SchemeKind::Unsecure, 1));
-        let three = slowest(&run("df", SchemeKind::Unsecure, 3));
+        let reports = run("df", SchemeKind::Unsecure, 3);
+        assert_eq!(reports.len(), 3, "one report per NPU");
+        let three = slowest(&reports);
         assert!(three > one, "one {one}, three {three}");
     }
 
