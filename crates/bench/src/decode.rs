@@ -11,11 +11,14 @@
 //!   walks) is charged exactly as the static figures charge it. Decode
 //!   steps grow their KV operands with the position in the sequence.
 //! * **Lifecycle cells** — one per workload × sequence length × version
-//!   limit: a *functional* tree-less [`SteppedSession`] driven through
-//!   the whole sequence with recovery enabled, measuring how often the
-//!   version limit forces a re-encryption epoch sweep and what the
-//!   sweeps cost. Only the tree-less scheme has software versions to
-//!   exhaust; the other schemes' amortized cost is replay-only.
+//!   limit: a *functional* tree-less [`SteppedSession`] with recovery
+//!   enabled, measuring how often the version limit forces a
+//!   re-encryption epoch sweep and what the sweeps cost. Only the
+//!   tree-less scheme has software versions to exhaust; the other
+//!   schemes' amortized cost is replay-only. A shorter sequence is an
+//!   exact prefix of a longer one at the same limit, so one job per
+//!   workload × limit drives a single session to the longest length on
+//!   the steps axis and reads each shorter length's cell off on the way.
 //!
 //! The rendered crossover table divides both through by the step count:
 //! where `tree-less replay + amortized sweeps` exceeds the counter
@@ -163,33 +166,52 @@ fn replay_cell(workload: &str, steps: u64, scheme: Scheme) -> ReplayCell {
     }
 }
 
-fn lifecycle_cell(workload: &str, steps: u64, limit: u64) -> LifecycleCell {
+/// A functional tree-less session over `workload` with recovery enabled
+/// and version limit `limit`: what every lifecycle cell measures.
+fn lifecycle_session(workload: &str, limit: u64, seed: u64) -> SteppedSession {
     let model = registry::model(workload).expect("registered dynamic model");
-    let seed = SplitMix64::seed_from_labels(&[
-        LIFECYCLE_EXPERIMENT,
-        workload,
-        &format!("s{steps}"),
-        &format!("l{limit}"),
-    ]);
     let mut session = SteppedSession::new(&model, Key128::derive(b"decode-bench"), seed);
     session.enable_recovery(
         RetryPolicy::default(),
         build_engine(Scheme::Treeless, &ProtectionConfig::paper_default()),
     );
     session.set_version_limit(limit);
-    for _ in 0..steps {
-        session.step().expect("clean dynamic step");
-    }
+    session
+}
+
+/// The lifecycle cell of a [`lifecycle_session`] after the steps it has
+/// taken.
+fn read_cell(session: &SteppedSession, workload: &str, limit: u64) -> LifecycleCell {
     let stats = session.recovery_stats().expect("recovery enabled");
     LifecycleCell {
         workload: workload.to_owned(),
-        steps,
+        steps: session.steps_taken(),
         limit,
         sweeps: stats.sweeps,
         sweep_cycles: stats.sweep_cycles,
         vt_bytes: session.version_table().storage_bytes(),
         preempt_cycles: session.preemption_cycles(&NpuConfig::small_npu()),
     }
+}
+
+/// One lifecycle job: a single session over `workload` at version limit
+/// `limit`, stepped to the end of `steps_axis` (which must ascend) and
+/// read each time it reaches an axis value. Every cell value is a
+/// function of addresses, versions and the limit, never of the data the
+/// seed draws, so a sampled cell equals a session stopped there.
+fn lifecycle_cells(workload: &str, steps_axis: &[u64], limit: u64) -> Vec<LifecycleCell> {
+    let seed =
+        SplitMix64::seed_from_labels(&[LIFECYCLE_EXPERIMENT, workload, &format!("l{limit}")]);
+    let mut session = lifecycle_session(workload, limit, seed);
+    steps_axis
+        .iter()
+        .map(|&steps| {
+            while session.steps_taken() < steps {
+                session.step().expect("clean dynamic step");
+            }
+            read_cell(&session, workload, limit)
+        })
+        .collect()
 }
 
 /// Run the crossover grid on the session pool.
@@ -217,9 +239,9 @@ pub fn crossover_with_threads(
             for scheme in Scheme::ALL {
                 replay_jobs.push((*workload, steps, scheme));
             }
-            for &limit in limits_axis {
-                lifecycle_jobs.push((*workload, steps, limit));
-            }
+        }
+        for &limit in limits_axis {
+            lifecycle_jobs.push((*workload, steps_axis.as_slice(), limit));
         }
     }
     let (replays, r1) = pool::run_ordered_with(
@@ -229,13 +251,26 @@ pub fn crossover_with_threads(
         |(w, s, scheme)| format!("{w}/s{s}/{scheme}"),
         |(w, s, scheme)| replay_cell(w, *s, *scheme),
     );
-    let (lifecycles, r2) = pool::run_ordered_with(
+    let (sampled, mut r2) = pool::run_ordered_with(
         threads,
         LIFECYCLE_EXPERIMENT,
         &lifecycle_jobs,
-        |(w, s, limit)| format!("{w}/s{s}/l{limit}"),
-        |(w, s, limit)| lifecycle_cell(w, *s, *limit),
+        |(w, _, limit)| format!("{w}/l{limit}"),
+        |(w, steps, limit)| lifecycle_cells(w, steps, *limit),
     );
+    r2.cells = sampled.iter().map(Vec::len).sum();
+    // Each job sampled one limit along the steps axis; the table reads
+    // its rows by workload, then steps, then limit.
+    let mut jobs = sampled.into_iter().map(Vec::into_iter);
+    let mut lifecycles = Vec::with_capacity(r2.cells);
+    for (_, steps_axis, limits_axis) in &axes {
+        let mut per_limit: Vec<_> = jobs.by_ref().take(limits_axis.len()).collect();
+        for _ in steps_axis {
+            for cells in &mut per_limit {
+                lifecycles.push(cells.next().expect("one cell per axis length"));
+            }
+        }
+    }
     ((replays, lifecycles), vec![r1, r2])
 }
 
@@ -315,9 +350,14 @@ mod tests {
     /// shape invariants, and the render checks all share the two runs.
     #[test]
     fn quick_crossover_grid_holds_its_invariants_at_any_thread_count() {
-        let (one, _) = crossover_with_threads(1, true);
+        let (one, reports) = crossover_with_threads(1, true);
         let (two, _) = crossover_with_threads(2, true);
         assert_eq!(one, two, "grid must not depend on the pool width");
+        // One lifecycle session per workload x limit, sampled at both
+        // lengths.
+        let lifecycle = &reports[1];
+        assert_eq!(lifecycle.name, LIFECYCLE_EXPERIMENT);
+        assert_eq!((lifecycle.cells, lifecycle.jobs.len()), (8, 4));
         let (replays, lifecycles) = one;
         assert_eq!(
             render_crossover(&replays, &lifecycles),
@@ -387,5 +427,44 @@ mod tests {
         assert!(rendered.contains("-- decode --"), "{rendered}");
         assert!(rendered.contains("-- train --"), "{rendered}");
         assert!(rendered.contains("steps/swp"), "{rendered}");
+    }
+
+    /// Sampling one session along the steps axis gives the cells of
+    /// standalone sessions stepped to each length, each seeded per length
+    /// as one-cell jobs would be: the cells hold no data, so neither the
+    /// seed nor the steps past a sample reach them.
+    #[test]
+    fn sampled_lifecycle_cells_equal_standalone_sessions() {
+        for quick in [true, false] {
+            for (workload, steps_axis, _) in workloads(quick) {
+                assert!(
+                    steps_axis.windows(2).all(|w| w[0] < w[1]),
+                    "{workload}: the steps axis must ascend to be sampled"
+                );
+            }
+        }
+        let (workload, limit) = ("train", 2);
+        let steps_axis = [1, 3, 5];
+        let standalone: Vec<LifecycleCell> = steps_axis
+            .iter()
+            .map(|&steps| {
+                let seed = SplitMix64::seed_from_labels(&[
+                    LIFECYCLE_EXPERIMENT,
+                    workload,
+                    &format!("s{steps}"),
+                    &format!("l{limit}"),
+                ]);
+                let mut session = lifecycle_session(workload, limit, seed);
+                for _ in 0..steps {
+                    session.step().expect("clean dynamic step");
+                }
+                read_cell(&session, workload, limit)
+            })
+            .collect();
+        assert_eq!(lifecycle_cells(workload, &steps_axis, limit), standalone);
+        assert!(
+            standalone.last().is_some_and(|c| c.sweeps > 0),
+            "the sessions must cross an epoch sweep"
+        );
     }
 }

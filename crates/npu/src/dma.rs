@@ -141,6 +141,14 @@ impl DmaPattern {
         let mut b = RunBuilder::new();
         match self {
             DmaPattern::Contiguous { base, bytes } => b.push(*base, *bytes, &mut f),
+            // Each row starts where the last one ended, so the rows always
+            // coalesce: push the slab whole instead of row by row.
+            DmaPattern::Strided {
+                base,
+                row_bytes,
+                stride,
+                ..
+            } if row_bytes == stride => b.push(*base, self.bytes(), &mut f),
             DmaPattern::Strided {
                 base,
                 rows,
@@ -379,6 +387,37 @@ mod tests {
             stride: 4096,
         };
         assert_eq!(p.block_count(), 4);
+    }
+
+    #[test]
+    fn abutting_strided_rows_yield_the_row_loop_runs() {
+        let runs = |p: &DmaPattern| {
+            let mut v = Vec::new();
+            p.for_each_run(|r| v.push(r));
+            v
+        };
+        for base in [0, 1, 31, 63, 64, 100, 4095] {
+            for stride in [0, 1, 2, 32, 64, 100, 4096] {
+                for rows in [0, 1, 2, 3, 70] {
+                    let strided = DmaPattern::Strided {
+                        base: Addr(base),
+                        rows,
+                        row_bytes: stride,
+                        stride,
+                    };
+                    // The same rows as a gather, which pushes them one by one.
+                    let row_loop = DmaPattern::Scattered {
+                        rows: (0..rows).map(|r| Addr(base + r * stride)).collect(),
+                        row_bytes: stride,
+                    };
+                    assert_eq!(
+                        runs(&strided),
+                        runs(&row_loop),
+                        "base {base}, stride {stride}, rows {rows}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

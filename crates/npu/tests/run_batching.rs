@@ -33,6 +33,17 @@ fn arb_op() -> impl Strategy<Value = Op> {
                 stride,
             }
         ),
+        // Rows that abut (`row_bytes == stride`), which the independent
+        // draws above hit once in 4,096: `for_each_run` pushes them as one
+        // slab.
+        (0u64..(1 << 20), 0u64..6, 0u64..300).prop_map(|(base, rows, stride)| {
+            DmaPattern::Strided {
+                base: Addr(base),
+                rows,
+                row_bytes: stride,
+                stride,
+            }
+        }),
         (prop::collection::vec(0u64..(1 << 20), 0..6), 0u64..300).prop_map(
             |(starts, row_bytes)| DmaPattern::Scattered {
                 rows: starts.into_iter().map(Addr).collect(),
