@@ -36,7 +36,7 @@ use tnpu_memprot::{build_engine, ProtectionConfig};
 use tnpu_models::defs::dynamic;
 use tnpu_models::registry;
 use tnpu_models::Model;
-use tnpu_npu::{multi, NpuConfig};
+use tnpu_npu::{NpuConfig, TileTrace};
 use tnpu_sim::rng::SplitMix64;
 
 /// Pool-report name for the replay family.
@@ -157,7 +157,8 @@ fn replay_cell(workload: &str, steps: u64, scheme: Scheme) -> ReplayCell {
     // Seeded from what runs, never from scheme or worker identity: the
     // same stepped trace is replayed through every engine.
     let seed = SplitMix64::seed_from_labels(&[REPLAY_EXPERIMENT, workload, &format!("s{steps}")]);
-    let reports = multi::run_steps_seeded(&refs, &NpuConfig::small_npu(), engine, 1, seed);
+    let npu = NpuConfig::small_npu();
+    let reports = TileTrace::build_steps(&refs, &npu, 1, seed).replay(engine, &npu, 1);
     ReplayCell {
         workload: workload.to_owned(),
         steps,

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (see DESIGN.md §4 for the experiment index).
 //!

@@ -2,7 +2,7 @@
 //!
 //! For every scheme × attack pair this module drives a full functional
 //! inference ([`SecureRunner`]) over the scheme's memory, lets a seeded
-//! [`Adversary`] tamper with the untrusted store at a deterministic
+//! [`AttackKind`] tamper with the untrusted store at a deterministic
 //! injection point, and classifies what happened:
 //!
 //! * **Detected** — a verified read failed (what §III/§IV-C promise for
@@ -26,14 +26,12 @@
 //! process per model and seeds, and built only when a verdict compares
 //! against it (see [`run_cell_on`]): cells that end `Detected` never pay
 //! for it.
-//!
-//! [`Adversary`]: tnpu_memprot::adversary::Adversary
 
 use crate::secure_runner::{RunError, SecureRunner};
 use crate::Scheme;
 use std::sync::{Arc, Mutex, OnceLock};
 use tnpu_crypto::Key128;
-use tnpu_memprot::adversary::{adversary, AttackKind, AttackPoint};
+use tnpu_memprot::adversary::{AttackKind, AttackPoint};
 use tnpu_memprot::functional::{build_functional, IntegrityError, MismatchCause, UnsecureMemory};
 use tnpu_models::{LayerKind, Model, TensorSource};
 use tnpu_npu::alloc::{ModelLayout, TensorInfo};
@@ -369,7 +367,7 @@ fn finish<M: tnpu_memprot::functional::FunctionalMemory>(
 }
 
 /// Run one scheme × attack cell against a resident context: a clean first
-/// inference, an adversary observation, then a second inference with the
+/// inference, an attack observation, then a second inference with the
 /// attack injected right before the victim's consumer runs.
 #[must_use]
 pub fn run_cell(model: &Model, scheme: Scheme, attack: AttackKind) -> CellResult {
@@ -448,8 +446,7 @@ pub fn run_cell_on(
     };
     let donor = pick_donor(model, &layout, victim, &mut rng);
 
-    let mut adv = adversary(attack);
-    adv.observe(runner.memory(), victim);
+    let captured = attack.observe(runner.memory(), victim);
 
     runner.next_inference(s2).expect("input version bumps");
     let inject_after = match consumer {
@@ -482,7 +479,7 @@ pub fn run_cell_on(
             foreign: foreign.as_deref_mut().map(|f| f as _),
             rng: &mut rng,
         };
-        adv.inject(runner.memory_mut(), &mut point)
+        attack.inject(runner.memory_mut(), &mut point, captured.as_ref())
     };
     if let Some(snapshot) = &snapshot {
         runner
@@ -520,29 +517,22 @@ pub fn run_cell_on(
     }
 }
 
-/// The full scheme × attack matrix for one model, in presentation order.
-#[must_use]
-pub fn run_matrix(model: &Model) -> Vec<CellResult> {
-    run_matrix_on(model, Surface::Resident)
-}
-
-/// The full scheme × attack matrix for one model on one context surface.
-#[must_use]
-pub fn run_matrix_on(model: &Model, surface: Surface) -> Vec<CellResult> {
-    let mut out = Vec::with_capacity(Scheme::ALL.len() * AttackKind::ALL.len());
-    for scheme in Scheme::ALL {
-        for attack in AttackKind::ALL {
-            out.push(run_cell_on(model, scheme, attack, surface));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tnpu_models::builder::ModelBuilder;
     use tnpu_models::registry::{self, DYNAMIC_MODEL_NAMES, MODEL_NAMES};
+
+    /// The full scheme × attack matrix for one model on one context
+    /// surface, in presentation order.
+    fn run_matrix(model: &Model, surface: Surface) -> Vec<CellResult> {
+        Scheme::ALL
+            .into_iter()
+            .flat_map(|scheme| {
+                AttackKind::ALL.map(|attack| run_cell_on(model, scheme, attack, surface))
+            })
+            .collect()
+    }
 
     /// The two-pass reference the one-pass [`reference_output`] replaced:
     /// a clean pass 1 on `s1`, then pass 2 on `s2`. The oracle for it.
@@ -580,7 +570,7 @@ mod tests {
         // Every cell must land exactly where §III/§IV-C predict: detection
         // on the versioned schemes, silent corruption (not detection!) on
         // encryption-only and unprotected memory.
-        for cell in run_matrix(&tiny()) {
+        for cell in run_matrix(&tiny(), Surface::Resident) {
             assert_eq!(
                 cell.outcome, cell.expected,
                 "{} × {}: got {}, paper claims {}",
@@ -591,7 +581,7 @@ mod tests {
 
     #[test]
     fn embedding_models_follow_the_same_matrix() {
-        for cell in run_matrix(&tiny_embed()) {
+        for cell in run_matrix(&tiny_embed(), Surface::Resident) {
             assert_eq!(
                 cell.outcome, cell.expected,
                 "{} × {} on embedding model",
@@ -602,7 +592,10 @@ mod tests {
 
     #[test]
     fn matrix_is_deterministic() {
-        assert_eq!(run_matrix(&tiny()), run_matrix(&tiny()));
+        assert_eq!(
+            run_matrix(&tiny(), Surface::Resident),
+            run_matrix(&tiny(), Surface::Resident)
+        );
     }
 
     #[test]
@@ -613,7 +606,7 @@ mod tests {
         // asserts the neighbor's output stays clean.
         let model = tiny();
         for surface in [Surface::Preempted, Surface::CoResident] {
-            for cell in run_matrix_on(&model, surface) {
+            for cell in run_matrix(&model, surface) {
                 assert_eq!(
                     cell.outcome, cell.expected,
                     "{} × {} on {surface}: got {}, paper claims {}",
@@ -651,8 +644,8 @@ mod tests {
         let model = tiny();
         for surface in Surface::ALL {
             assert_eq!(
-                run_matrix_on(&model, surface),
-                run_matrix_on(&model, surface),
+                run_matrix(&model, surface),
+                run_matrix(&model, surface),
                 "{surface}"
             );
         }
@@ -665,7 +658,7 @@ mod tests {
         // relocation (address binding) apart from corruption (content),
         // and the tree must intercept counter-side attacks before MAC
         // diagnosis.
-        for cell in run_matrix(&tiny()) {
+        for cell in run_matrix(&tiny(), Surface::Resident) {
             assert_eq!(
                 cell.cause,
                 expected_cause(cell.scheme, cell.attack),
@@ -746,7 +739,7 @@ mod tests {
             "built once"
         );
         for model in [&a, &b] {
-            for cell in run_matrix_on(model, Surface::CoResident) {
+            for cell in run_matrix(model, Surface::CoResident) {
                 assert!(cell.matches(), "{} × {}", cell.scheme, cell.attack);
             }
         }

@@ -322,16 +322,6 @@ impl SecureNpuSession {
         }
         Ok(())
     }
-
-    /// Tear down a context by value (the original API; now the full
-    /// teardown of [`destroy_context`](SecureNpuSession::destroy_context)).
-    ///
-    /// # Errors
-    ///
-    /// As [`destroy_context`](SecureNpuSession::destroy_context).
-    pub fn release(&mut self, ctx: NpuContext) -> Result<(), SessionError> {
-        self.destroy_context(&ctx)
-    }
 }
 
 /// Probe the recycled-NPU stale-translation window end to end: tenant A
@@ -444,7 +434,7 @@ mod tests {
         // Command the NPU.
         s.issue(ctx.enclave, &ctx, NpuCommand::Mvin { version: 1 })
             .expect("owner");
-        s.release(ctx).expect("owner releases");
+        s.destroy_context(&ctx).expect("owner tears down");
     }
 
     #[test]
@@ -479,7 +469,7 @@ mod tests {
             s.create_context(b"c", 1),
             Err(SessionError::Driver(DriverError::NoFreeNpu))
         ));
-        s.release(a).expect("release");
+        s.destroy_context(&a).expect("teardown");
         let _c = s.create_context(b"c", 1).expect("npu recycled");
     }
 

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! The paper's primary contribution, as a library.
 //!
 //! TNPU replaces the counter tree over NPU memory with *semantic-aware,

@@ -7,8 +7,7 @@
 //! machinery:
 //!
 //! * **Request generation** — open-loop Poisson and bursty arrival
-//!   processes plus a closed-loop (fixed-client) process, over a weighted
-//!   per-model traffic mix. Arrival times and model picks are derived
+//!   processes over a weighted per-model traffic mix. Arrival times and model picks are derived
 //!   from labels via [`SplitMix64::seed_from_labels`] — never from the
 //!   scheme or the scheduling policy — so every scheme serves the
 //!   *identical* request stream and tail latencies compare like with
@@ -95,12 +94,6 @@ pub enum ArrivalProcess {
         /// Requests per burst (all arrive at the same cycle).
         burst: u32,
     },
-    /// Closed loop: `clients` tenants, each submitting its next request
-    /// the moment the previous one completes (zero think time).
-    Closed {
-        /// Concurrent clients.
-        clients: u32,
-    },
 }
 
 impl ArrivalProcess {
@@ -110,7 +103,6 @@ impl ArrivalProcess {
         match self {
             ArrivalProcess::Poisson { load_pct } => format!("poisson-{load_pct}"),
             ArrivalProcess::Bursty { load_pct, burst } => format!("bursty-{load_pct}x{burst}"),
-            ArrivalProcess::Closed { clients } => format!("closed-{clients}"),
         }
     }
 }
@@ -556,8 +548,7 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
         / u128::from(total_weight)) as u64;
 
     // Each request's mix entry, in arrival order (scheme/policy-free).
-    // Arrival times come from the gap stream (open loop) or completions
-    // (closed loop).
+    // Arrival times come from the gap stream.
     let picks: Vec<usize> = (0..spec.requests)
         .map(|_| {
             let mut roll = pick_rng.next_below(total_weight);
@@ -582,7 +573,6 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
     };
 
     // Seed the arrival events.
-    let mut issued;
     match spec.arrival {
         ArrivalProcess::Poisson { load_pct } => {
             assert!(load_pct > 0, "offered load must be positive");
@@ -593,7 +583,6 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                 t = t.saturating_add(gap_rng.next_exponential(mean));
                 push(&mut events, &mut seq, t, Event::Arrive(rid));
             }
-            issued = spec.requests;
         }
         ArrivalProcess::Bursty { load_pct, burst } => {
             assert!(load_pct > 0 && burst > 0, "degenerate burst process");
@@ -607,15 +596,6 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                 }
                 push(&mut events, &mut seq, t, Event::Arrive(rid));
             }
-            issued = spec.requests;
-        }
-        ArrivalProcess::Closed { clients } => {
-            assert!(clients > 0, "a closed loop needs clients");
-            let first = (clients as usize).min(spec.requests);
-            for rid in 0..first {
-                push(&mut events, &mut seq, 0, Event::Arrive(rid));
-            }
-            issued = first;
         }
     }
 
@@ -673,13 +653,6 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                     done += 1;
                     let out_cycles = switcher.charge(md.vt_bytes, true);
                     push(&mut events, &mut seq, now + out_cycles, Event::NpuFree(npu));
-                    if issued < spec.requests {
-                        // Closed loop: the finishing client submits its
-                        // next request immediately.
-                        let rid = issued;
-                        issued += 1;
-                        push(&mut events, &mut seq, now, Event::Arrive(rid));
-                    }
                 } else {
                     // Preemption point: yield only to a strictly more
                     // urgent waiter.

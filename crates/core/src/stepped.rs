@@ -558,7 +558,7 @@ mod tests {
 
         let storage_before = s.version_table().storage_bytes();
         let peak_before = s.version_table().peak_storage_bytes();
-        let stale = s.table.snapshot(0);
+        let stale = s.suspend().expect("clean context suspends");
         s.epoch_sweep().expect("sweep over intact state");
 
         assert_eq!(s.epoch(), 1);
@@ -589,11 +589,11 @@ mod tests {
         assert_eq!(s.table.bump_tile(kv.id, 3), Ok(2));
         // A pre-sweep snapshot is now a typed staleness refusal.
         assert_eq!(
-            s.table.restore(&stale, s.epoch()),
-            Err(VersionError::StaleSnapshot {
+            s.resume(&stale),
+            Err(RunError::Version(VersionError::StaleSnapshot {
                 snapshot: 0,
                 current: 1
-            })
+            }))
         );
     }
 

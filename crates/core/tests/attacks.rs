@@ -5,7 +5,9 @@
 
 use tnpu_core::secure_runner::{RunError, SecureRunner};
 use tnpu_crypto::Key128;
-use tnpu_memprot::functional::{CounterTreeMemory, IntegrityError, TreelessMemory};
+use tnpu_memprot::functional::{
+    CounterTreeMemory, FunctionalMemory, IntegrityError, TreelessMemory,
+};
 use tnpu_sim::Addr;
 use tnpu_tee::enclave::{EnclaveManager, RegionKind};
 use tnpu_tee::epcm::Eepcm;
@@ -76,11 +78,11 @@ fn bus_snooping_sees_only_ciphertext() {
 
     let mut treeless = TreelessMemory::new(Key128::derive(b"a"));
     treeless.write_block(Addr(0), 1, block);
-    assert!(!treeless.dram().contains_bytes(needle));
+    assert!(!treeless.dram_contains(needle));
 
     let mut tree = CounterTreeMemory::new(Key128::derive(b"b"), 1 << 12);
     tree.write_block(Addr(0), block);
-    assert!(!tree.dram().contains_bytes(needle));
+    assert!(!tree.dram_contains(needle));
 }
 
 /// Table I row "Tampering": any single-bit flip anywhere in a protected
@@ -89,16 +91,15 @@ fn bus_snooping_sees_only_ciphertext() {
 fn every_bit_flip_is_detected() {
     let mut treeless = TreelessMemory::new(Key128::derive(b"a"));
     treeless.write_block(Addr(0), 1, [0x5au8; 64]);
-    for byte in [0usize, 13, 31, 63] {
-        for bit in [0u8, 3, 7] {
-            let dram = treeless.dram_mut().block_mut(Addr(0)).expect("written");
-            dram[byte] ^= 1 << bit;
+    for byte in [0u16, 13, 31, 63] {
+        for bit in [0u16, 3, 7] {
+            let flip = [byte * 8 + bit];
+            assert!(treeless.tamper_bits(Addr(0), &flip), "written");
             assert!(
                 treeless.read_block(Addr(0), 1).is_err(),
                 "flip at byte {byte} bit {bit} undetected"
             );
-            let dram = treeless.dram_mut().block_mut(Addr(0)).expect("written");
-            dram[byte] ^= 1 << bit; // repair
+            assert!(treeless.tamper_bits(Addr(0), &flip), "written"); // repair
         }
     }
     assert!(
@@ -115,9 +116,9 @@ fn replay_protection_equivalence() {
     // Tree-based: full replay of (data, MAC, counter) fails at the root.
     let mut tree = CounterTreeMemory::new(Key128::derive(b"t"), 1 << 12);
     tree.write_block(Addr(64), [1u8; 64]);
-    let snap = tree.snapshot(Addr(64)).expect("written");
+    let snap = tree.capture_block(Addr(64)).expect("written");
     tree.write_block(Addr(64), [2u8; 64]);
-    tree.restore(Addr(64), snap);
+    assert!(tree.restore_block(Addr(64), &snap));
     assert!(matches!(
         tree.read_block(Addr(64)),
         Err(IntegrityError::TreeMismatch { .. })
@@ -126,9 +127,9 @@ fn replay_protection_equivalence() {
     // Tree-less with version discipline: stale MAC fails.
     let mut tnpu = TreelessMemory::new(Key128::derive(b"l"));
     tnpu.write_block(Addr(64), 1, [1u8; 64]);
-    let snap = tnpu.snapshot(Addr(64)).expect("written");
+    let snap = tnpu.capture_block(Addr(64)).expect("written");
     tnpu.write_block(Addr(64), 2, [2u8; 64]);
-    tnpu.restore(Addr(64), snap);
+    assert!(tnpu.restore_block(Addr(64), &snap));
     assert!(matches!(
         tnpu.read_block(Addr(64), 2),
         Err(IntegrityError::MacMismatch { .. })
@@ -138,9 +139,9 @@ fn replay_protection_equivalence() {
     // number IS the replay protection.
     let mut broken = TreelessMemory::new(Key128::derive(b"x"));
     broken.write_block(Addr(64), 1, [1u8; 64]);
-    let snap = broken.snapshot(Addr(64)).expect("written");
+    let snap = broken.capture_block(Addr(64)).expect("written");
     broken.write_block(Addr(64), 1, [2u8; 64]);
-    broken.restore(Addr(64), snap);
+    assert!(broken.restore_block(Addr(64), &snap));
     assert_eq!(broken.read_block(Addr(64), 1).expect("verifies"), [1u8; 64]);
 }
 
@@ -154,11 +155,10 @@ fn live_inference_attack_coverage() {
     let mut runner = SecureRunner::new(&model, Key128::derive(b"w"), 5);
     runner.step().expect("layer 0 ok");
     let weights = runner.layout().weights[1].expect("conv weights");
-    runner
-        .memory_mut()
-        .dram_mut()
-        .block_mut(weights.addr)
-        .expect("initialized")[0] ^= 1;
+    assert!(
+        runner.memory_mut().tamper_bits(weights.addr, &[0]),
+        "initialized"
+    );
     assert!(matches!(runner.step(), Err(RunError::Integrity(_))));
 
     // Attack an activation: relocate a valid block of layer 0's output
@@ -167,7 +167,9 @@ fn live_inference_attack_coverage() {
     let mut runner = SecureRunner::new(&model, Key128::derive(b"w"), 5);
     runner.step().expect("layer 0 ok");
     let out = runner.layout().outputs[0];
-    let donor = runner.memory_mut().snapshot(out.addr).expect("written");
-    runner.memory_mut().restore(out.addr.offset(64), donor);
+    let donor = runner.memory().capture_block(out.addr).expect("written");
+    assert!(runner
+        .memory_mut()
+        .restore_block(out.addr.offset(64), &donor));
     assert!(matches!(runner.step(), Err(RunError::Integrity(_))));
 }

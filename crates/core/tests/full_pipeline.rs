@@ -57,7 +57,7 @@ fn boot_attest_simulate_verify() {
     instr::replay(&stream).expect("stream verifies");
 
     // 7. Teardown.
-    session.release(ctx).expect("owner releases");
+    session.destroy_context(&ctx).expect("owner tears down");
 }
 
 /// The cost plane (the tiler's plan, which produces the figures) and the

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! Functional cryptographic primitives for the TNPU reproduction.
 //!
 //! The paper's memory-protection engines are evaluated with *cost models*,

@@ -400,9 +400,9 @@ mod tests {
 
     #[test]
     fn bypass_through_a_helper_chain_is_caught() {
-        // The lexical dram-bypass rule sees no `RawDram` token in bad.rs's
-        // entry fn — the access is laundered through two helpers. The
-        // reachability rule still catches it.
+        // A token scan sees no `RawDram` in bad.rs's entry fn — the access
+        // is laundered through two helpers. The reachability rule still
+        // catches it.
         let mut files = memprot_files();
         files.push(entry(
             "crates/sim/src/bad.rs",

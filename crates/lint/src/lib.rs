@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! `tnpu-lint` — a dependency-free workspace linter for determinism,
 //! unit-safety, security-model, and robustness invariants.
 //!
@@ -94,7 +92,7 @@ pub fn analyze_source(path: &str, src: &str) -> AnalyzedFile {
     let parsed = parser::parse(&lexed);
     let mut lexical = Vec::new();
     for rule in RULES {
-        for finding in (rule.check)(&lexed, path) {
+        for finding in (rule.check)(&lexed) {
             lexical.push((rule.id, finding.line, finding.message));
         }
     }

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! The `tnpu-lint` binary.
 //!
 //! ```text

@@ -9,7 +9,9 @@
 //!   or wrap;
 //! * **security** — the paper's threat model (no DRAM path around the
 //!   protection engine, version state owned by the version manager) is a
-//!   hardware property in MGX/GuardNN; here only tooling can enforce it.
+//!   hardware property in MGX/GuardNN. Here the compiler enforces the
+//!   first half (the raw DRAM store is private to `tnpu-memprot`, so only
+//!   the `FunctionalMemory` trait reaches it) and tooling the rest.
 //!
 //! Every rule is a token-pattern scan over [`LexedFile`] — deliberately
 //! simple, so the linter stays dependency-free and auditable. Each rule's
@@ -70,9 +72,9 @@ pub struct Rule {
     /// Whether `#[cfg(test)]` regions and `tests/`, `benches/`, `examples/`
     /// directories are exempt.
     pub exempt_tests: bool,
-    /// The check itself. Receives the lexed file and its workspace-relative
-    /// path; returns raw findings (filtered by the engine afterwards).
-    pub check: fn(&LexedFile, &str) -> Vec<Finding>,
+    /// The check itself. Receives the lexed file; returns raw findings
+    /// (filtered by path scope and allow comments afterwards).
+    pub check: fn(&LexedFile) -> Vec<Finding>,
 }
 
 /// Crates whose computation feeds printed results; the determinism rules
@@ -169,15 +171,6 @@ pub const RULES: &[Rule] = &[
         check: check_float_accumulation,
     },
     Rule {
-        id: "dram-bypass",
-        family: Family::Security,
-        summary: "direct RawDram access outside the protection engines",
-        include: &[],
-        exclude: &["crates/memprot"],
-        exempt_tests: true,
-        check: check_dram_bypass,
-    },
-    Rule {
         id: "version-table-scope",
         family: Family::Security,
         summary: "VersionTable handled outside the version-manager crate",
@@ -185,15 +178,6 @@ pub const RULES: &[Rule] = &[
         exclude: &["crates/core"],
         exempt_tests: true,
         check: check_version_table_scope,
-    },
-    Rule {
-        id: "forbid-unsafe",
-        family: Family::Security,
-        summary: "crate root missing #![forbid(unsafe_code)]",
-        include: &[],
-        exclude: &[],
-        exempt_tests: false,
-        check: check_forbid_unsafe,
     },
 ];
 
@@ -279,7 +263,7 @@ pub fn sem_rule_by_id(id: &str) -> Option<&'static SemRule> {
     SEM_RULES.iter().find(|r| r.id == id)
 }
 
-fn check_hash_collections(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
+fn check_hash_collections(lexed: &LexedFile) -> Vec<Finding> {
     lexed
         .tokens
         .iter()
@@ -295,7 +279,7 @@ fn check_hash_collections(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
         .collect()
 }
 
-fn check_wallclock(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
+fn check_wallclock(lexed: &LexedFile) -> Vec<Finding> {
     let toks = &lexed.tokens;
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -324,7 +308,7 @@ fn check_wallclock(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
     out
 }
 
-fn check_rng_seed_literal(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
+fn check_rng_seed_literal(lexed: &LexedFile) -> Vec<Finding> {
     let toks = &lexed.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len().saturating_sub(4) {
@@ -350,7 +334,7 @@ fn check_rng_seed_literal(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
 /// are deliberately absent: casts *up* to them are the common widening idiom.
 const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "usize", "i8", "i16", "i32"];
 
-fn check_narrowing_cast(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
+fn check_narrowing_cast(lexed: &LexedFile) -> Vec<Finding> {
     let toks = &lexed.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len().saturating_sub(1) {
@@ -372,7 +356,7 @@ fn check_narrowing_cast(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
     out
 }
 
-fn check_unchecked_arith(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
+fn check_unchecked_arith(lexed: &LexedFile) -> Vec<Finding> {
     let toks = &lexed.tokens;
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -400,7 +384,7 @@ fn check_unchecked_arith(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
     out
 }
 
-fn check_float_accumulation(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
+fn check_float_accumulation(lexed: &LexedFile) -> Vec<Finding> {
     let toks = &lexed.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len().saturating_sub(2) {
@@ -426,29 +410,7 @@ fn check_float_accumulation(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
     out
 }
 
-fn check_dram_bypass(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let raw_dram = t.is_ident("RawDram");
-        let dram_path = t.is_ident("functional")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|n| n.is_ident("dram"));
-        if raw_dram || dram_path {
-            out.push(Finding {
-                line: t.line,
-                message: "direct DRAM access bypasses the protection engine (threat-model \
-                          violation); route reads/writes through a \
-                          ProtectionEngine/FunctionalMemory method, or keep physical-attack \
-                          modelling inside #[cfg(test)]"
-                    .to_owned(),
-            });
-        }
-    }
-    out
-}
-
-fn check_version_table_scope(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
+fn check_version_table_scope(lexed: &LexedFile) -> Vec<Finding> {
     lexed
         .tokens
         .iter()
@@ -463,42 +425,13 @@ fn check_version_table_scope(lexed: &LexedFile, _path: &str) -> Vec<Finding> {
         .collect()
 }
 
-fn check_forbid_unsafe(lexed: &LexedFile, path: &str) -> Vec<Finding> {
-    let crate_root =
-        path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"));
-    if !crate_root {
-        return Vec::new();
-    }
-    let toks = &lexed.tokens;
-    let has_attr = (0..toks.len().saturating_sub(7)).any(|i| {
-        toks[i].is_punct("#")
-            && toks[i + 1].is_punct("!")
-            && toks[i + 2].is_punct("[")
-            && toks[i + 3].is_ident("forbid")
-            && toks[i + 4].is_punct("(")
-            && toks[i + 5].is_ident("unsafe_code")
-            && toks[i + 6].is_punct(")")
-            && toks[i + 7].is_punct("]")
-    });
-    if has_attr {
-        Vec::new()
-    } else {
-        vec![Finding {
-            line: 1,
-            message: "crate root must carry #![forbid(unsafe_code)]: the security argument \
-                      assumes no unchecked memory access anywhere in the workspace"
-                .to_owned(),
-        }]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
     fn run(rule: &str, src: &str) -> Vec<Finding> {
-        (rule_by_id(rule).expect("known rule").check)(&lex(src), "crates/x/src/f.rs")
+        (rule_by_id(rule).expect("known rule").check)(&lex(src))
     }
 
     #[test]
@@ -554,32 +487,8 @@ mod tests {
     }
 
     #[test]
-    fn dram_bypass_hits_type_and_path() {
-        assert_eq!(run("dram-bypass", "let d = RawDram::new();").len(), 1);
-        assert_eq!(
-            run("dram-bypass", "use tnpu_memprot::functional::dram;").len(),
-            1
-        );
-        assert!(run("dram-bypass", "engine.read_block(addr)").is_empty());
-    }
-
-    #[test]
     fn version_table_scope_hits_ident() {
         assert_eq!(run("version-table-scope", "VersionTable::new()").len(), 1);
         assert!(run("version-table-scope", "table.version(t, 0)").is_empty());
-    }
-
-    #[test]
-    fn forbid_unsafe_checks_crate_roots_only() {
-        let rule = rule_by_id("forbid-unsafe").expect("known rule");
-        let missing = (rule.check)(&lex("pub fn f() {}"), "crates/x/src/lib.rs");
-        assert_eq!(missing.len(), 1);
-        let present = (rule.check)(
-            &lex("#![forbid(unsafe_code)]\npub fn f() {}"),
-            "crates/x/src/lib.rs",
-        );
-        assert!(present.is_empty());
-        let not_root = (rule.check)(&lex("pub fn f() {}"), "crates/x/src/other.rs");
-        assert!(not_root.is_empty());
     }
 }

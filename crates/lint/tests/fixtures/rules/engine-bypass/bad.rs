@@ -1,7 +1,7 @@
 //! BAD: reaches raw DRAM through two intermediate helpers. The entry
-//! function contains no `RawDram` token, so the lexical `dram-bypass`
-//! rule cannot tie the access to the entry point — the reachability rule
-//! follows the chain and reports the crossing call site.
+//! function contains no `RawDram` token, so a token scan cannot tie the
+//! access to the entry point — the reachability rule follows the chain
+//! and reports the crossing call site.
 
 use tnpu_memprot::functional::dram::RawDram;
 

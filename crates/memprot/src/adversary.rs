@@ -1,16 +1,17 @@
 //! Deterministic attack strategies against the functional memories.
 //!
-//! Each [`Adversary`] models one physical-attacker capability from the
+//! Each [`AttackKind`] models one physical-attacker capability from the
 //! paper's threat model (§III): corrupting bits on the memory bus,
 //! relocating ciphertext, replaying previously captured state, rolling
 //! back DRAM-resident metadata, substituting MACs, and splicing state
 //! captured from a *different* protection context (different keys). The
-//! strategies work purely through the [`FunctionalMemory`] attack surface
-//! — exactly what an attacker with DRAM access but no on-chip access has.
+//! attacks work purely through the [`FunctionalMemory`] attack surface —
+//! exactly what an attacker with DRAM access but no on-chip access has,
+//! and the only way any code outside this crate reaches untrusted DRAM.
 //!
-//! An attack runs in two phases: [`Adversary::observe`] photographs the
-//! victim's state at a chosen moment (only the replay-family attacks use
-//! it), and [`Adversary::inject`] mutates the untrusted store at the
+//! An attack runs in two phases: [`AttackKind::observe`] photographs the
+//! victim's state at a chosen moment (only the replay-family attacks need
+//! it), and [`AttackKind::inject`] mutates the untrusted store at the
 //! injection point. All randomness (which bits to flip, foreign plaintext)
 //! comes from the caller-supplied [`SplitMix64`], so a seeded harness is
 //! byte-reproducible.
@@ -67,12 +68,80 @@ impl AttackKind {
         }
     }
 
-    /// Whether the strategy needs an [`Adversary::observe`] pass (the
+    /// Whether the attack needs an [`observe`](Self::observe) capture (the
     /// replay family re-supplies previously captured state; the victim
     /// must be rewritten between capture and injection).
     #[must_use]
     pub fn needs_capture(self) -> bool {
         matches!(self, AttackKind::Replay | AttackKind::VersionRollback)
+    }
+
+    /// Photograph the victim's untrusted state at the capture moment (end
+    /// of the clean reference pass). Returns the capture exactly when
+    /// [`needs_capture`](Self::needs_capture) holds and the victim was
+    /// written; the other attacks observe nothing.
+    #[must_use]
+    pub fn observe(self, mem: &dyn FunctionalMemory, victim: Addr) -> Option<BlockCapture> {
+        if self.needs_capture() {
+            mem.capture_block(victim)
+        } else {
+            None
+        }
+    }
+
+    /// Mutate the untrusted store at the injection point, using the
+    /// [`observe`](Self::observe) capture for the replay family. Returns
+    /// `false` when the scheme offers no such surface (the harness records
+    /// the cell as not-applicable).
+    pub fn inject(
+        self,
+        mem: &mut dyn FunctionalMemory,
+        point: &mut AttackPoint<'_>,
+        captured: Option<&BlockCapture>,
+    ) -> bool {
+        // Bit flips stay inside the bytes the consumer reads.
+        let live_bits = 8 * point.live_bytes.clamp(1, BLOCK_SIZE);
+        match self {
+            AttackKind::BitFlip => {
+                let bit = point.rng.next_below(live_bits as u64) as u16;
+                mem.tamper_bits(point.victim, &[bit])
+            }
+            AttackKind::MultiBitFlip => {
+                // 2..=8 distinct positions: distinctness guarantees the
+                // block actually changes (a bit flipped twice cancels out).
+                let wanted = (2 + point.rng.next_below(7) as usize).min(live_bits);
+                let mut bits: Vec<u16> = Vec::with_capacity(wanted);
+                while bits.len() < wanted {
+                    let bit = point.rng.next_below(live_bits as u64) as u16;
+                    if !bits.contains(&bit) {
+                        bits.push(bit);
+                    }
+                }
+                mem.tamper_bits(point.victim, &bits)
+            }
+            AttackKind::BlockSplice => mem.splice_block(point.donor, point.victim),
+            AttackKind::Replay => captured.is_some_and(|c| mem.restore_block(point.victim, c)),
+            AttackKind::VersionRollback => {
+                captured.is_some_and(|c| mem.rollback_metadata(point.victim, c))
+            }
+            AttackKind::MacSubstitution => mem.substitute_mac(point.victim, point.donor),
+            AttackKind::CrossContextSplice => {
+                let Some(foreign) = point.foreign.as_deref_mut() else {
+                    return false;
+                };
+                // The attacker controls the other context, so it can
+                // produce any plaintext it wants — with the *foreign* keys
+                // and metadata.
+                let mut plaintext = [0u8; BLOCK_SIZE];
+                for chunk in plaintext.chunks_exact_mut(8) {
+                    chunk.copy_from_slice(&point.rng.next_u64().to_le_bytes());
+                }
+                foreign.write_block(point.victim, point.version, plaintext);
+                foreign
+                    .capture_block(point.victim)
+                    .is_some_and(|capture| mem.restore_block(point.victim, &capture))
+            }
+        }
     }
 }
 
@@ -93,7 +162,7 @@ pub struct AttackPoint<'a> {
     /// what a cross-context forger would supply.
     pub version: u64,
     /// How many leading bytes of the victim block the consumer actually
-    /// reads. Bit-flip strategies stay inside this window: AES-XTS garbles
+    /// reads. Bit-flip attacks stay inside this window: AES-XTS garbles
     /// only the 16 B sub-block containing a flipped ciphertext bit, so a
     /// flip in the padding tail of a partially-used block would be
     /// invisible to a consumer that truncates — an ineffective injection,
@@ -102,180 +171,8 @@ pub struct AttackPoint<'a> {
     /// A memory of the same scheme under *different keys*, for
     /// [`AttackKind::CrossContextSplice`].
     pub foreign: Option<&'a mut dyn FunctionalMemory>,
-    /// Seeded randomness for the strategy's choices.
+    /// Seeded randomness for the attack's choices.
     pub rng: &'a mut SplitMix64,
-}
-
-/// One attack strategy: optionally observe the victim, then inject.
-pub trait Adversary {
-    /// Which attack this strategy implements.
-    fn kind(&self) -> AttackKind;
-
-    /// Photograph whatever the strategy needs from the untrusted store.
-    /// Called at the capture moment (end of the clean reference pass).
-    fn observe(&mut self, mem: &dyn FunctionalMemory, victim: Addr);
-
-    /// Mutate the untrusted store at the injection point. Returns `false`
-    /// when the scheme offers no such surface (the harness records the
-    /// cell as not-applicable).
-    fn inject(&mut self, mem: &mut dyn FunctionalMemory, point: &mut AttackPoint<'_>) -> bool;
-}
-
-/// The bit-flip window of a point, clamped to the block.
-fn live_bytes(point: &AttackPoint<'_>) -> usize {
-    point.live_bytes.clamp(1, BLOCK_SIZE)
-}
-
-/// Build the strategy for `kind`.
-#[must_use]
-pub fn adversary(kind: AttackKind) -> Box<dyn Adversary> {
-    match kind {
-        AttackKind::BitFlip => Box::new(BitFlip),
-        AttackKind::MultiBitFlip => Box::new(MultiBitFlip),
-        AttackKind::BlockSplice => Box::new(BlockSplice),
-        AttackKind::Replay => Box::new(Replay { captured: None }),
-        AttackKind::VersionRollback => Box::new(VersionRollback { captured: None }),
-        AttackKind::MacSubstitution => Box::new(MacSubstitution),
-        AttackKind::CrossContextSplice => Box::new(CrossContextSplice),
-    }
-}
-
-/// Single bit-flip on the stored block.
-#[derive(Debug)]
-pub struct BitFlip;
-
-impl Adversary for BitFlip {
-    fn kind(&self) -> AttackKind {
-        AttackKind::BitFlip
-    }
-    fn observe(&mut self, _mem: &dyn FunctionalMemory, _victim: Addr) {}
-    fn inject(&mut self, mem: &mut dyn FunctionalMemory, point: &mut AttackPoint<'_>) -> bool {
-        let bit = point.rng.next_below(8 * live_bytes(point) as u64) as u16;
-        mem.tamper_bits(point.victim, &[bit])
-    }
-}
-
-/// Several distinct bit-flips on the stored block.
-#[derive(Debug)]
-pub struct MultiBitFlip;
-
-impl Adversary for MultiBitFlip {
-    fn kind(&self) -> AttackKind {
-        AttackKind::MultiBitFlip
-    }
-    fn observe(&mut self, _mem: &dyn FunctionalMemory, _victim: Addr) {}
-    fn inject(&mut self, mem: &mut dyn FunctionalMemory, point: &mut AttackPoint<'_>) -> bool {
-        // 2..=8 distinct positions: distinctness guarantees the block
-        // actually changes (a bit flipped twice cancels out).
-        let wanted = (2 + point.rng.next_below(7) as usize).min(8 * live_bytes(point));
-        let mut bits: Vec<u16> = Vec::with_capacity(wanted);
-        while bits.len() < wanted {
-            let bit = point.rng.next_below(8 * live_bytes(point) as u64) as u16;
-            if !bits.contains(&bit) {
-                bits.push(bit);
-            }
-        }
-        mem.tamper_bits(point.victim, &bits)
-    }
-}
-
-/// Relocate another block's stored state over the victim.
-#[derive(Debug)]
-pub struct BlockSplice;
-
-impl Adversary for BlockSplice {
-    fn kind(&self) -> AttackKind {
-        AttackKind::BlockSplice
-    }
-    fn observe(&mut self, _mem: &dyn FunctionalMemory, _victim: Addr) {}
-    fn inject(&mut self, mem: &mut dyn FunctionalMemory, point: &mut AttackPoint<'_>) -> bool {
-        mem.splice_block(point.donor, point.victim)
-    }
-}
-
-/// Capture the victim's full untrusted state, then re-supply it after the
-/// victim has been rewritten.
-#[derive(Debug)]
-pub struct Replay {
-    captured: Option<BlockCapture>,
-}
-
-impl Adversary for Replay {
-    fn kind(&self) -> AttackKind {
-        AttackKind::Replay
-    }
-    fn observe(&mut self, mem: &dyn FunctionalMemory, victim: Addr) {
-        self.captured = mem.capture_block(victim);
-    }
-    fn inject(&mut self, mem: &mut dyn FunctionalMemory, point: &mut AttackPoint<'_>) -> bool {
-        match &self.captured {
-            Some(capture) => mem.restore_block(point.victim, capture),
-            None => false,
-        }
-    }
-}
-
-/// Capture the victim's state, then roll back only the metadata.
-#[derive(Debug)]
-pub struct VersionRollback {
-    captured: Option<BlockCapture>,
-}
-
-impl Adversary for VersionRollback {
-    fn kind(&self) -> AttackKind {
-        AttackKind::VersionRollback
-    }
-    fn observe(&mut self, mem: &dyn FunctionalMemory, victim: Addr) {
-        self.captured = mem.capture_block(victim);
-    }
-    fn inject(&mut self, mem: &mut dyn FunctionalMemory, point: &mut AttackPoint<'_>) -> bool {
-        match &self.captured {
-            Some(capture) => mem.rollback_metadata(point.victim, capture),
-            None => false,
-        }
-    }
-}
-
-/// Replace the victim's MAC with the donor's.
-#[derive(Debug)]
-pub struct MacSubstitution;
-
-impl Adversary for MacSubstitution {
-    fn kind(&self) -> AttackKind {
-        AttackKind::MacSubstitution
-    }
-    fn observe(&mut self, _mem: &dyn FunctionalMemory, _victim: Addr) {}
-    fn inject(&mut self, mem: &mut dyn FunctionalMemory, point: &mut AttackPoint<'_>) -> bool {
-        mem.substitute_mac(point.victim, point.donor)
-    }
-}
-
-/// Forge the victim block inside a foreign context (same scheme, different
-/// keys) and install the foreign state at the victim address.
-#[derive(Debug)]
-pub struct CrossContextSplice;
-
-impl Adversary for CrossContextSplice {
-    fn kind(&self) -> AttackKind {
-        AttackKind::CrossContextSplice
-    }
-    fn observe(&mut self, _mem: &dyn FunctionalMemory, _victim: Addr) {}
-    fn inject(&mut self, mem: &mut dyn FunctionalMemory, point: &mut AttackPoint<'_>) -> bool {
-        let Some(foreign) = point.foreign.as_deref_mut() else {
-            return false;
-        };
-        // The attacker controls the other context, so it can produce any
-        // plaintext it wants — with the *foreign* keys and metadata.
-        let mut plaintext = [0u8; BLOCK_SIZE];
-        for chunk in plaintext.chunks_exact_mut(8) {
-            chunk.copy_from_slice(&point.rng.next_u64().to_le_bytes());
-        }
-        foreign.write_block(point.victim, point.version, plaintext);
-        let Some(capture) = foreign.capture_block(point.victim) else {
-            return false;
-        };
-        mem.restore_block(point.victim, &capture)
-    }
 }
 
 #[cfg(test)]
@@ -308,9 +205,12 @@ mod tests {
         for kind in SchemeKind::ALL {
             let mut mem = written(kind);
             let mut rng = SplitMix64::new(3);
-            let mut adv = adversary(AttackKind::BitFlip);
-            adv.observe(&mem, Addr(0));
-            assert!(adv.inject(&mut mem, &mut point(&mut rng)), "{kind}");
+            let attack = AttackKind::BitFlip;
+            let captured = attack.observe(&mem, Addr(0));
+            assert!(
+                attack.inject(&mut mem, &mut point(&mut rng), captured.as_ref()),
+                "{kind}"
+            );
             let read = mem.read_block(Addr(0), 1);
             match kind {
                 SchemeKind::Treeless | SchemeKind::TreeBased => {
@@ -333,8 +233,7 @@ mod tests {
         for seed in 0..32 {
             let mut mem = written(SchemeKind::Unsecure);
             let mut rng = SplitMix64::new(seed);
-            let mut adv = adversary(AttackKind::MultiBitFlip);
-            assert!(adv.inject(&mut mem, &mut point(&mut rng)));
+            assert!(AttackKind::MultiBitFlip.inject(&mut mem, &mut point(&mut rng), None));
             assert_ne!(mem.read_block(Addr(0), 1).expect("unprotected"), [1u8; 64]);
         }
     }
@@ -346,10 +245,9 @@ mod tests {
         for seed in 0..16 {
             let mut mem = written(SchemeKind::Unsecure);
             let mut rng = SplitMix64::new(seed);
-            let mut adv = adversary(AttackKind::BitFlip);
             let mut p = point(&mut rng);
             p.live_bytes = 4;
-            assert!(adv.inject(&mut mem, &mut p));
+            assert!(AttackKind::BitFlip.inject(&mut mem, &mut p, None));
             let read = mem.read_block(Addr(0), 1).expect("unprotected");
             assert_eq!(read[4..], [1u8; 60], "tail untouched");
             assert_ne!(read[..4], [1u8; 4], "window corrupted");
@@ -359,15 +257,15 @@ mod tests {
     #[test]
     fn replay_needs_rewrite_to_matter_and_versions_catch_it() {
         let mut mem = written(SchemeKind::Treeless);
-        let mut adv = adversary(AttackKind::Replay);
-        adv.observe(&mem, Addr(0));
+        let attack = AttackKind::Replay;
+        let captured = attack.observe(&mem, Addr(0));
         // Victim rewrites under a bumped version; attacker re-supplies the
         // stale state; the expected version is now 2.
         mem.write_block(Addr(0), 2, [9u8; 64]);
         let mut rng = SplitMix64::new(0);
         let mut p = point(&mut rng);
         p.version = 2;
-        assert!(adv.inject(&mut mem, &mut p));
+        assert!(attack.inject(&mut mem, &mut p, captured.as_ref()));
         assert!(mem.read_block(Addr(0), 2).is_err(), "stale MAC must fail");
     }
 
@@ -375,13 +273,17 @@ mod tests {
     fn rollback_leaves_data_but_stales_metadata_on_treeless() {
         let mut mem = TreelessMemory::new(Key128::derive(b"rb"));
         mem.write_block(Addr(0), 1, [1u8; 64]);
-        let mut adv = adversary(AttackKind::VersionRollback);
-        adv.observe(&mem, Addr(0));
+        let attack = AttackKind::VersionRollback;
+        let captured = attack.observe(&mem, Addr(0));
         mem.write_block(Addr(0), 2, [5u8; 64]);
-        let ct_before = mem.dram().read_block(Addr(0));
+        let ct_before = mem.capture_block(Addr(0)).expect("written").bytes;
         let mut rng = SplitMix64::new(0);
-        assert!(adv.inject(&mut mem, &mut point(&mut rng)));
-        assert_eq!(mem.dram().read_block(Addr(0)), ct_before, "data untouched");
+        assert!(attack.inject(&mut mem, &mut point(&mut rng), captured.as_ref()));
+        assert_eq!(
+            mem.capture_block(Addr(0)).expect("written").bytes,
+            ct_before,
+            "data untouched"
+        );
         assert!(mem.read_block(Addr(0), 2).is_err(), "stale MAC detected");
     }
 
@@ -390,8 +292,10 @@ mod tests {
         for kind in [SchemeKind::Unsecure, SchemeKind::EncryptOnly] {
             let mut mem = written(kind);
             let mut rng = SplitMix64::new(0);
-            let mut adv = adversary(AttackKind::MacSubstitution);
-            assert!(!adv.inject(&mut mem, &mut point(&mut rng)), "{kind}");
+            assert!(
+                !AttackKind::MacSubstitution.inject(&mut mem, &mut point(&mut rng), None),
+                "{kind}"
+            );
         }
     }
 
@@ -402,8 +306,7 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         let mut p = point(&mut rng);
         p.foreign = Some(&mut foreign);
-        let mut adv = adversary(AttackKind::CrossContextSplice);
-        assert!(adv.inject(&mut mem, &mut p));
+        assert!(AttackKind::CrossContextSplice.inject(&mut mem, &mut p, None));
         assert!(
             mem.read_block(Addr(0), 1).is_err(),
             "foreign MAC key differs"
@@ -412,14 +315,38 @@ mod tests {
 
     #[test]
     fn strategies_report_their_kind_and_capture_needs() {
-        for kind in AttackKind::ALL {
-            assert_eq!(adversary(kind).kind(), kind);
-        }
         assert!(AttackKind::Replay.needs_capture());
         assert!(AttackKind::VersionRollback.needs_capture());
         assert!(!AttackKind::BitFlip.needs_capture());
         let labels: std::collections::BTreeSet<_> =
             AttackKind::ALL.iter().map(|a| a.label()).collect();
         assert_eq!(labels.len(), AttackKind::ALL.len());
+    }
+
+    #[test]
+    fn observe_captures_exactly_for_the_replay_family_on_every_scheme() {
+        for kind in SchemeKind::ALL {
+            let mem = written(kind);
+            for attack in AttackKind::ALL {
+                let captured = attack.observe(&mem, Addr(0));
+                assert_eq!(
+                    captured.is_some(),
+                    attack.needs_capture(),
+                    "{kind} × {attack}"
+                );
+                if let Some(c) = captured {
+                    let direct = mem.capture_block(Addr(0)).expect("written");
+                    assert_eq!(
+                        (c.bytes, c.mac, c.counters),
+                        (direct.bytes, direct.mac, direct.counters),
+                        "{kind} × {attack}: the victim's own state"
+                    );
+                }
+                assert!(
+                    attack.observe(&mem, Addr(128)).is_none(),
+                    "{kind} × {attack}: an unwritten block has nothing to capture"
+                );
+            }
+        }
     }
 }

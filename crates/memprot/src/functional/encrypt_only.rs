@@ -61,17 +61,6 @@ impl EncryptOnlyMemory {
         self.xts.decrypt_block(addr.block().0, &mut pt);
         Ok(pt)
     }
-
-    /// The untrusted DRAM — attack hook.
-    pub fn dram_mut(&mut self) -> &mut RawDram {
-        &mut self.dram
-    }
-
-    /// The untrusted DRAM, read-only.
-    #[must_use]
-    pub fn dram(&self) -> &RawDram {
-        &self.dram
-    }
 }
 
 impl FunctionalMemory for EncryptOnlyMemory {
@@ -151,7 +140,7 @@ mod tests {
         secret[..6].copy_from_slice(b"SECRET");
         m.write_block(Addr(0), secret);
         assert_eq!(m.read_block(Addr(0)).expect("written"), secret);
-        assert!(!m.dram().contains_bytes(b"SECRET"));
+        assert!(!m.dram_contains(b"SECRET"));
     }
 
     #[test]
@@ -160,7 +149,7 @@ mod tests {
         // computation with no error raised.
         let mut m = mem();
         m.write_block(Addr(0), [7u8; 64]);
-        m.dram_mut().block_mut(Addr(0)).expect("written")[0] ^= 1;
+        assert!(m.tamper_bits(Addr(0), &[0]), "written");
         let result = m.read_block(Addr(0)).expect("no integrity check fires");
         assert_ne!(result, [7u8; 64], "data silently corrupted");
     }
@@ -173,9 +162,9 @@ mod tests {
         // close.
         let mut m = mem();
         m.write_block(Addr(0), [1u8; 64]);
-        let old = m.dram().read_block(Addr(0)).expect("written");
+        let old = m.capture_block(Addr(0)).expect("written");
         m.write_block(Addr(0), [2u8; 64]);
-        m.dram_mut().write_block(Addr(0), old);
+        assert!(m.restore_block(Addr(0), &old));
         assert_eq!(
             m.read_block(Addr(0)).expect("no check"),
             [1u8; 64],
@@ -189,8 +178,8 @@ mod tests {
         // the plaintext scrambles — but again, no error.
         let mut m = mem();
         m.write_block(Addr(0), [3u8; 64]);
-        let ct = m.dram().read_block(Addr(0)).expect("written");
-        m.dram_mut().write_block(Addr(64), ct);
+        let ct = m.capture_block(Addr(0)).expect("written");
+        assert!(m.restore_block(Addr(64), &ct));
         let relocated = m.read_block(Addr(64)).expect("no check");
         assert_ne!(relocated, [3u8; 64]);
     }

@@ -3,20 +3,41 @@
 //! The timing engines ([`crate::tree_engine`], [`crate::treeless_engine`])
 //! model *cost*; the types in this module implement the actual datapath
 //! with [`tnpu_crypto`] so the paper's security claims can be tested:
-//! ciphertext in DRAM, per-block MACs, counters with a real hash tree, and
-//! attack hooks that simulate physical tampering and replay.
+//! ciphertext in DRAM, per-block MACs, and counters with a real hash tree.
 //!
 //! These run per-byte crypto and are used by tests, examples and the
 //! functional mode of the secure runner — not by the figure sweeps.
+//!
+//! # The attack surface
+//!
+//! The paper's attacker (§III) owns DRAM and nothing on-chip. Here that
+//! boundary is the [`FunctionalMemory`] trait: its attack hooks
+//! ([`tamper_bits`], [`capture_block`], [`restore_block`],
+//! [`rollback_metadata`], [`splice_block`], [`substitute_mac`] and the
+//! [`dram_contains`] probe) are the only way any code outside this crate
+//! reaches a memory's untrusted state. The raw block store behind the four
+//! memories, `RawDram`, lives in a private module, so the compiler rejects
+//! every other path to it:
+//!
+//! ```compile_fail,E0603
+//! use tnpu_memprot::functional::dram::RawDram;
+//! ```
+//!
+//! [`tamper_bits`]: FunctionalMemory::tamper_bits
+//! [`capture_block`]: FunctionalMemory::capture_block
+//! [`restore_block`]: FunctionalMemory::restore_block
+//! [`rollback_metadata`]: FunctionalMemory::rollback_metadata
+//! [`splice_block`]: FunctionalMemory::splice_block
+//! [`substitute_mac`]: FunctionalMemory::substitute_mac
+//! [`dram_contains`]: FunctionalMemory::dram_contains
 
-pub mod dram;
+mod dram;
 pub mod encrypt_only;
 mod store;
 pub mod tree;
 pub mod treeless;
 pub mod unsecure;
 
-pub use dram::RawDram;
 pub use encrypt_only::EncryptOnlyMemory;
 pub use tree::CounterTreeMemory;
 pub use treeless::TreelessMemory;
@@ -24,6 +45,7 @@ pub use unsecure::UnsecureMemory;
 
 use crate::counters::SplitCounterBlock;
 use crate::SchemeKind;
+use dram::RawDram;
 use store::PagedStore;
 use tnpu_crypto::mac::{MacPrefix, MacTag};
 use tnpu_crypto::Key128;
@@ -130,8 +152,9 @@ impl std::error::Error for IntegrityError {}
 
 /// Everything a physical attacker can capture about one block from the
 /// untrusted DRAM: the stored bytes, and whatever per-block metadata the
-/// scheme also keeps there. Fields the scheme does not have are `None` —
-/// an unprotected memory has no MAC to photograph.
+/// scheme also keeps there (for the counter tree, the whole SC-64 counter
+/// block). Fields the scheme does not have are `None` — an unprotected
+/// memory has no MAC to photograph.
 #[derive(Debug, Clone)]
 pub struct BlockCapture {
     /// The stored bytes (ciphertext, or plaintext for [`UnsecureMemory`]).

@@ -35,7 +35,6 @@ pub(crate) struct PagedStore<T> {
     pages: BTreeMap<u64, Box<Page<T>>>,
     /// What an empty slot holds; fills each new page.
     blank: T,
-    len: usize,
 }
 
 impl<T: Copy> PagedStore<T> {
@@ -44,7 +43,6 @@ impl<T: Copy> PagedStore<T> {
         PagedStore {
             pages: BTreeMap::new(),
             blank,
-            len: 0,
         }
     }
 
@@ -81,16 +79,8 @@ impl<T: Copy> PagedStore<T> {
                 slots: [blank; PAGE_SLOTS],
             })
         });
-        if !page.has(slot) {
-            page.present[slot / 64] |= 1 << (slot % 64);
-            self.len += 1;
-        }
+        page.present[slot / 64] |= 1 << (slot % 64);
         page.slots[slot] = value;
-    }
-
-    /// Number of units holding a value.
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 
     /// Every stored `(unit, value)`, in block order.
@@ -140,7 +130,7 @@ mod tests {
         s.insert(u64::MAX, 7);
         s.insert(3, 9);
         assert_eq!(s.pages.len(), 2);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.iter().count(), 2);
         assert_eq!(s.get(u64::MAX), Some(&7));
         assert_eq!(s.get(u64::MAX - 1), None, "a blank slot is not a value");
         let all: Vec<_> = s.iter().collect();
@@ -173,7 +163,7 @@ mod tests {
                     }
                     _ => prop_assert_eq!(store.get(unit), map.get(&unit)),
                 }
-                prop_assert_eq!(store.len(), map.len());
+                prop_assert_eq!(store.iter().count(), map.len());
                 let stored: Vec<_> = store.iter().map(|(u, &v)| (u, v)).collect();
                 let mapped: Vec<_> = map.iter().map(|(&u, &v)| (u, v)).collect();
                 prop_assert_eq!(stored, mapped);

@@ -360,17 +360,6 @@ impl CounterTreeMemory {
         Ok(pt)
     }
 
-    /// The untrusted DRAM — attack hook.
-    pub fn dram_mut(&mut self) -> &mut RawDram {
-        &mut self.dram
-    }
-
-    /// The untrusted DRAM, read-only.
-    #[must_use]
-    pub fn dram(&self) -> &RawDram {
-        &self.dram
-    }
-
     /// Overwrite a block's DRAM-resident minor counter — attack hook. The
     /// tree is *not* updated (the attacker cannot recompute the protected
     /// root).
@@ -382,31 +371,6 @@ impl CounterTreeMemory {
             .entry(cb)
             .or_default()
             .set_minor_raw(slot, (value % 128) as u8);
-    }
-
-    /// Snapshot the full untrusted state of a block: ciphertext, MAC, and
-    /// its whole SC-64 counter block — everything a physical attacker can
-    /// capture from DRAM.
-    #[must_use]
-    pub fn snapshot(&self, addr: Addr) -> Option<TreeSnapshot> {
-        let block = addr.block().0;
-        let cb = self.counter_block_of(block);
-        Some(TreeSnapshot {
-            ciphertext: self.dram.read_block(addr)?,
-            mac: self.macs.get(block).copied()?,
-            counter_block: self.counters.get(&cb)?.clone(),
-        })
-    }
-
-    /// Restore a snapshot (replay attack). The tree path is *not* restored:
-    /// the root stayed on-chip while the victim kept writing, so the stale
-    /// counter block no longer hashes to it.
-    pub fn restore(&mut self, addr: Addr, snapshot: TreeSnapshot) {
-        let block = addr.block().0;
-        let cb = self.counter_block_of(block);
-        self.dram.write_block(addr, snapshot.ciphertext);
-        self.macs.insert(block, snapshot.mac);
-        self.counters.insert(cb, snapshot.counter_block);
     }
 }
 
@@ -430,26 +394,25 @@ impl FunctionalMemory for CounterTreeMemory {
     }
 
     fn capture_block(&self, addr: Addr) -> Option<BlockCapture> {
-        let snap = self.snapshot(addr)?;
+        let block = addr.block().0;
         Some(BlockCapture {
-            bytes: snap.ciphertext,
-            mac: Some(snap.mac),
-            counters: Some(snap.counter_block),
+            bytes: self.dram.read_block(addr)?,
+            mac: Some(self.macs.get(block).copied()?),
+            counters: Some(self.counters.get(&self.counter_block_of(block))?.clone()),
         })
     }
 
     fn restore_block(&mut self, addr: Addr, capture: &BlockCapture) -> bool {
+        // The tree path is *not* restored: the root stayed on-chip while
+        // the victim kept writing, so a stale counter block no longer
+        // hashes to it.
         let (Some(mac), Some(counters)) = (capture.mac, capture.counters.clone()) else {
             return false;
         };
-        self.restore(
-            addr,
-            TreeSnapshot {
-                ciphertext: capture.bytes,
-                mac,
-                counter_block: counters,
-            },
-        );
+        let block = addr.block().0;
+        self.dram.write_block(addr, capture.bytes);
+        self.macs.insert(block, mac);
+        self.counters.insert(self.counter_block_of(block), counters);
         true
     }
 
@@ -507,18 +470,6 @@ impl FunctionalMemory for CounterTreeMemory {
     }
 }
 
-/// Everything a physical attacker can capture about one block: the
-/// ciphertext, its MAC, and the covering SC-64 counter block.
-#[derive(Debug, Clone)]
-pub struct TreeSnapshot {
-    /// The stored ciphertext.
-    pub ciphertext: [u8; BLOCK_SIZE],
-    /// The stored MAC.
-    pub mac: MacTag,
-    /// The covering counter block's raw state.
-    pub counter_block: SplitCounterBlock,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,14 +501,14 @@ mod tests {
         let mut secret = [0u8; 64];
         secret[..12].copy_from_slice(b"WEIGHTS-v1.0");
         m.write_block(Addr(0), secret);
-        assert!(!m.dram().contains_bytes(b"WEIGHTS-v1.0"));
+        assert!(!m.dram_contains(b"WEIGHTS-v1.0"));
     }
 
     #[test]
     fn ciphertext_tampering_detected() {
         let mut m = mem();
         m.write_block(Addr(0), [1u8; 64]);
-        m.dram_mut().block_mut(Addr(0)).expect("present")[10] ^= 0x80;
+        assert!(m.tamper_bits(Addr(0), &[87]), "present"); // byte 10, 0x80
         assert_eq!(
             m.read_block(Addr(0)),
             Err(IntegrityError::MacMismatch {
@@ -584,9 +535,9 @@ mod tests {
         // verifies against the stale counter, but the tree root does not.
         let mut m = mem();
         m.write_block(Addr(0), [1u8; 64]);
-        let old = m.snapshot(Addr(0)).expect("present");
+        let old = m.capture_block(Addr(0)).expect("present");
         m.write_block(Addr(0), [2u8; 64]);
-        m.restore(Addr(0), old);
+        assert!(m.restore_block(Addr(0), &old));
         assert!(matches!(
             m.read_block(Addr(0)),
             Err(IntegrityError::TreeMismatch { .. })
@@ -646,9 +597,9 @@ mod tests {
         // fresh pad even for identical plaintext.
         let mut m = mem();
         m.write_block(Addr(0), [7u8; 64]);
-        let ct1 = m.dram().read_block(Addr(0)).expect("present");
+        let ct1 = m.capture_block(Addr(0)).expect("present").bytes;
         m.write_block(Addr(0), [7u8; 64]);
-        let ct2 = m.dram().read_block(Addr(0)).expect("present");
+        let ct2 = m.capture_block(Addr(0)).expect("present").bytes;
         assert_ne!(ct1, ct2);
     }
 
@@ -707,13 +658,13 @@ mod tests {
         m.write_block(Addr(0), [1u8; 64]);
         assert_eq!(m.read_block(Addr(0)), Ok([1u8; 64]));
         assert!(m.tree.borrow().last_read.is_some());
-        let clean = m.snapshot(Addr(0)).expect("written");
+        let clean = m.capture_block(Addr(0)).expect("written");
         m.tamper_counter(Addr(0), 99);
         assert_eq!(
             m.read_block(Addr(0)),
             Err(IntegrityError::TreeMismatch { level: 1 })
         );
-        m.restore(Addr(0), clean);
+        assert!(m.restore_block(Addr(0), &clean));
         assert_eq!(m.read_block(Addr(0)), Ok([1u8; 64]));
     }
 
@@ -907,13 +858,13 @@ mod lockstep {
 }
 
 /// The eager tree the lazy one replaced, unchanged but for its name, two
-/// visible fields and two unused DRAM accessors left out: every write
+/// visible fields, two unused DRAM accessors left out and its snapshot
+/// hooks folded into `capture_block`/`restore_block`: every write
 /// re-hashes the whole path to the root and every read re-hashes each node
 /// on it. It is the equivalence oracle for the lazy tree.
 #[cfg(test)]
 mod reference {
     use super::super::{flip_bits, BlockCapture, FunctionalMemory, IntegrityError, MismatchCause};
-    use super::TreeSnapshot;
     use crate::counters::{Bump, SplitCounterBlock};
     use crate::functional::dram::RawDram;
     use crate::tree::TreeGeometry;
@@ -1196,31 +1147,6 @@ mod reference {
                 .or_default()
                 .set_minor_raw(slot, (value % 128) as u8);
         }
-
-        /// Snapshot the full untrusted state of a block: ciphertext, MAC, and
-        /// its whole SC-64 counter block — everything a physical attacker can
-        /// capture from DRAM.
-        #[must_use]
-        pub fn snapshot(&self, addr: Addr) -> Option<TreeSnapshot> {
-            let block = addr.block().0;
-            let cb = self.counter_block_of(block);
-            Some(TreeSnapshot {
-                ciphertext: self.dram.read_block(addr)?,
-                mac: self.macs.get(&block).copied()?,
-                counter_block: self.counters.get(&cb)?.clone(),
-            })
-        }
-
-        /// Restore a snapshot (replay attack). The tree path is *not* restored:
-        /// the root stayed on-chip while the victim kept writing, so the stale
-        /// counter block no longer hashes to it.
-        pub fn restore(&mut self, addr: Addr, snapshot: TreeSnapshot) {
-            let block = addr.block().0;
-            let cb = self.counter_block_of(block);
-            self.dram.write_block(addr, snapshot.ciphertext);
-            self.macs.insert(block, snapshot.mac);
-            self.counters.insert(cb, snapshot.counter_block);
-        }
     }
 
     impl FunctionalMemory for EagerTreeMemory {
@@ -1247,11 +1173,11 @@ mod reference {
         }
 
         fn capture_block(&self, addr: Addr) -> Option<BlockCapture> {
-            let snap = self.snapshot(addr)?;
+            let block = addr.block().0;
             Some(BlockCapture {
-                bytes: snap.ciphertext,
-                mac: Some(snap.mac),
-                counters: Some(snap.counter_block),
+                bytes: self.dram.read_block(addr)?,
+                mac: Some(self.macs.get(&block).copied()?),
+                counters: Some(self.counters.get(&self.counter_block_of(block))?.clone()),
             })
         }
 
@@ -1259,14 +1185,10 @@ mod reference {
             let (Some(mac), Some(counters)) = (capture.mac, capture.counters.clone()) else {
                 return false;
             };
-            self.restore(
-                addr,
-                TreeSnapshot {
-                    ciphertext: capture.bytes,
-                    mac,
-                    counter_block: counters,
-                },
-            );
+            let block = addr.block().0;
+            self.dram.write_block(addr, capture.bytes);
+            self.macs.insert(block, mac);
+            self.counters.insert(self.counter_block_of(block), counters);
             true
         }
 

@@ -130,40 +130,6 @@ impl TreelessMemory {
         self.xts.decrypt_block(unit, &mut pt);
         Ok(pt)
     }
-
-    /// The untrusted DRAM — attack hook.
-    pub fn dram_mut(&mut self) -> &mut RawDram {
-        &mut self.dram
-    }
-
-    /// The untrusted DRAM, read-only (for confidentiality scans).
-    #[must_use]
-    pub fn dram(&self) -> &RawDram {
-        &self.dram
-    }
-
-    /// Overwrite the stored MAC of a block — attack hook (the MAC region is
-    /// ordinary untrusted DRAM).
-    pub fn set_mac(&mut self, addr: Addr, tag: MacTag) {
-        self.macs.insert(addr.block().0, tag);
-    }
-
-    /// Snapshot `(ciphertext, MAC)` of a block — the first half of a replay
-    /// attack.
-    #[must_use]
-    pub fn snapshot(&self, addr: Addr) -> Option<([u8; BLOCK_SIZE], MacTag)> {
-        let ct = self.dram.read_block(addr)?;
-        let tag = self.macs.get(addr.block().0).copied()?;
-        Some((ct, tag))
-    }
-
-    /// Restore a previous `(ciphertext, MAC)` snapshot — the second half of
-    /// a replay attack. Both items are attacker-visible and attacker-
-    /// writable, which is why a MAC alone cannot stop replay.
-    pub fn restore(&mut self, addr: Addr, snapshot: ([u8; BLOCK_SIZE], MacTag)) {
-        self.dram.write_block(addr, snapshot.0);
-        self.macs.insert(addr.block().0, snapshot.1);
-    }
 }
 
 impl FunctionalMemory for TreelessMemory {
@@ -184,19 +150,21 @@ impl FunctionalMemory for TreelessMemory {
     }
 
     fn capture_block(&self, addr: Addr) -> Option<BlockCapture> {
-        let (bytes, mac) = self.snapshot(addr)?;
         Some(BlockCapture {
-            bytes,
-            mac: Some(mac),
+            bytes: self.dram.read_block(addr)?,
+            mac: Some(self.macs.get(addr.block().0).copied()?),
             counters: None,
         })
     }
 
     fn restore_block(&mut self, addr: Addr, capture: &BlockCapture) -> bool {
+        // Ciphertext and MAC are both attacker-visible and -writable,
+        // which is why a MAC alone cannot stop replay.
         let Some(mac) = capture.mac else {
             return false; // a MAC-less capture has nothing to install here
         };
-        self.restore(addr, (capture.bytes, mac));
+        self.dram.write_block(addr, capture.bytes);
+        self.macs.insert(addr.block().0, mac);
         true
     }
 
@@ -206,23 +174,20 @@ impl FunctionalMemory for TreelessMemory {
         let Some(mac) = capture.mac else {
             return false;
         };
-        self.set_mac(addr, mac);
+        self.macs.insert(addr.block().0, mac);
         true
     }
 
     fn splice_block(&mut self, donor: Addr, victim: Addr) -> bool {
-        let Some(snap) = self.snapshot(donor) else {
-            return false;
-        };
-        self.restore(victim, snap);
-        true
+        self.capture_block(donor)
+            .is_some_and(|capture| self.restore_block(victim, &capture))
     }
 
     fn substitute_mac(&mut self, victim: Addr, donor: Addr) -> bool {
         let Some(tag) = self.macs.get(donor.block().0).copied() else {
             return false;
         };
-        self.set_mac(victim, tag);
+        self.macs.insert(victim.block().0, tag);
         true
     }
 
@@ -265,14 +230,14 @@ mod tests {
         let mut secret = [0u8; 64];
         secret[..16].copy_from_slice(b"TOP-SECRET-MODEL");
         m.write_block(Addr(0), 1, secret);
-        assert!(!m.dram().contains_bytes(b"TOP-SECRET-MODEL"));
+        assert!(!m.dram_contains(b"TOP-SECRET-MODEL"));
     }
 
     #[test]
     fn tampering_ciphertext_detected() {
         let mut m = mem();
         m.write_block(Addr(0), 1, [1u8; 64]);
-        m.dram_mut().block_mut(Addr(0)).expect("present")[0] ^= 1;
+        assert!(m.tamper_bits(Addr(0), &[0]), "present");
         assert_eq!(
             m.read_block(Addr(0), 1),
             Err(IntegrityError::MacMismatch {
@@ -286,7 +251,7 @@ mod tests {
     fn tampering_mac_detected() {
         let mut m = mem();
         m.write_block(Addr(0), 1, [1u8; 64]);
-        m.set_mac(Addr(0), MacTag([0xde; 8]));
+        m.macs.insert(0, MacTag([0xde; 8]));
         assert!(m.read_block(Addr(0), 1).is_err());
     }
 
@@ -297,9 +262,9 @@ mod tests {
         // the stale MAC (bound to version 1) fails.
         let mut m = mem();
         m.write_block(Addr(0), 1, [1u8; 64]);
-        let old = m.snapshot(Addr(0)).expect("present");
+        let old = m.capture_block(Addr(0)).expect("present");
         m.write_block(Addr(0), 2, [2u8; 64]);
-        m.restore(Addr(0), old);
+        assert!(m.restore_block(Addr(0), &old));
         assert_eq!(
             m.read_block(Addr(0), 2),
             Err(IntegrityError::MacMismatch {
@@ -317,9 +282,9 @@ mod tests {
         // protection, not the MAC itself.
         let mut m = mem();
         m.write_block(Addr(0), 7, [1u8; 64]);
-        let old = m.snapshot(Addr(0)).expect("present");
+        let old = m.capture_block(Addr(0)).expect("present");
         m.write_block(Addr(0), 7, [2u8; 64]); // version NOT bumped
-        m.restore(Addr(0), old);
+        assert!(m.restore_block(Addr(0), &old));
         assert_eq!(m.read_block(Addr(0), 7).expect("verifies"), [1u8; 64]);
     }
 
@@ -330,9 +295,9 @@ mod tests {
         // the tweak differs — but the MAC check fires first.)
         let mut m = mem();
         m.write_block(Addr(0), 1, [9u8; 64]);
-        let snap = m.snapshot(Addr(0)).expect("present");
+        let snap = m.capture_block(Addr(0)).expect("present");
         m.write_block(Addr(64), 1, [8u8; 64]);
-        m.restore(Addr(64), snap);
+        assert!(m.restore_block(Addr(64), &snap));
         assert_eq!(
             m.read_block(Addr(64), 1),
             Err(IntegrityError::MacMismatch {
@@ -456,7 +421,7 @@ mod lockstep {
                 reference.substitute_mac(at, other)
             ),
             14 => {
-                paged.set_mac(at, MacTag(b.to_le_bytes()));
+                paged.macs.insert(at.block().0, MacTag(b.to_le_bytes()));
                 reference.set_mac(at, MacTag(b.to_le_bytes()));
             }
             _ => assert_eq!(paged.rekey(b % 3), reference.rekey(b % 3)),
@@ -487,7 +452,7 @@ mod lockstep {
                         reference.capture_block(addr(x)).as_ref()
                     ));
                 }
-                prop_assert_eq!(paged.dram().len(), reference.dram().len());
+                prop_assert_eq!(format!("{:?}", paged.dram), format!("{:?}", reference.dram()));
             }
             for (&at, &version) in &versions {
                 prop_assert_eq!(paged.read_block(at, version), reference.read_block(at, version));

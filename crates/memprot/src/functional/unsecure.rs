@@ -5,7 +5,7 @@
 //! to show what "detection" even means — here tampering lands directly in
 //! the plaintext the NPU computes on.
 
-use super::{flip_bits, BlockCapture, FunctionalMemory, IntegrityError, RawDram};
+use super::{dram::RawDram, flip_bits, BlockCapture, FunctionalMemory, IntegrityError};
 use crate::SchemeKind;
 use tnpu_sim::{Addr, BLOCK_SIZE};
 
@@ -20,17 +20,6 @@ impl UnsecureMemory {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The DRAM — for unprotected memory this *is* the plaintext store.
-    #[must_use]
-    pub fn dram(&self) -> &RawDram {
-        &self.dram
-    }
-
-    /// The DRAM, writable — attack hook.
-    pub fn dram_mut(&mut self) -> &mut RawDram {
-        &mut self.dram
     }
 }
 

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! Hardware memory-protection engines for the TNPU reproduction.
 //!
 //! The paper compares three ways of protecting the DRAM an integrated NPU

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! The 14 benchmark DNN models of the paper's evaluation (Table III),
 //! described layer-by-layer.
 //!

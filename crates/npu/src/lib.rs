@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! Cycle-level NPU simulator for the TNPU reproduction.
 //!
 //! Mirrors the paper's methodology (§V-A): an in-house simulator in the

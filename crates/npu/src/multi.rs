@@ -8,12 +8,10 @@
 //! whose next transfer has the earliest arrival time, so metadata-cache
 //! interference between NPUs emerges from genuinely interleaved block
 //! streams.
-
-use crate::config::NpuConfig;
-use crate::report::RunReport;
-use crate::trace::TileTrace;
-use tnpu_memprot::ProtectionEngine;
-use tnpu_models::Model;
+//!
+//! [`TileTrace::build_replicated`]: crate::TileTrace::build_replicated
+//! [`TileTrace::build`]: crate::TileTrace::build
+//! [`TileTrace::replay`]: crate::TileTrace::replay
 
 /// Address-space stride between NPU contexts (512 MB each).
 pub const NPU_REGION_STRIDE: u64 = 512 << 20;
@@ -23,32 +21,13 @@ pub const NPU_REGION_STRIDE: u64 = 512 << 20;
 /// bit-reproducible; this is the one used when the caller does not care.
 pub const DEFAULT_BASE_SEED: u64 = 0xC0FFEE;
 
-/// Run `count` NPUs each executing a step-loop session — one model per
-/// step (an autoregressive decode growing its KV caches, or a training
-/// loop's iterations) — over one shared engine. Lowers via
-/// [`TileTrace::build_steps`] and replays, so results are byte-identical
-/// to replaying the same stepped trace directly.
-///
-/// # Panics
-///
-/// Panics if `steps` is empty, `count` is zero, or a step's tensors
-/// exceed the per-NPU region.
-#[must_use]
-pub fn run_steps_seeded(
-    steps: &[&Model],
-    npu: &NpuConfig,
-    engine: Box<dyn ProtectionEngine>,
-    count: usize,
-    base_seed: u64,
-) -> Vec<RunReport> {
-    TileTrace::build_steps(steps, npu, count, base_seed).replay(engine, npu, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alloc::ModelLayout;
+    use crate::config::NpuConfig;
     use crate::report::RunReport;
+    use crate::trace::TileTrace;
     use tnpu_memprot::{build_engine, ProtectionConfig, SchemeKind};
     use tnpu_sim::Addr;
 

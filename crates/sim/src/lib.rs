@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! Simulation substrate for the TNPU reproduction.
 //!
 //! This crate provides the low-level building blocks that every other crate

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 //! Access control and trusted-execution plumbing for TNPU (paper §IV-A/B/E).
 //!
 //! The memory-protection engines guard against *physical* attacks; this
