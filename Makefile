@@ -15,10 +15,13 @@ bench-test:
 
 # The benchmark binary end to end at one second a workload: every unit's
 # oracle on the real workloads, then the traced replicas compared cell by
-# cell through TimedMemory. Each run exits 1 if any oracle fails.
+# cell through TimedMemory, then the held-out seed 1, whose attack and
+# fault units check agz cells against the paper's claims and the fault
+# model instead of the seed-0 goldens. Each run exits 1 if any oracle fails.
 bench-smoke:
 	cargo run --release --locked --offline --manifest-path benchmark/Cargo.toml -- --seconds 1
 	cargo run --release --locked --offline --manifest-path benchmark/Cargo.toml -- --seconds 1 --trace 1
+	cargo run --release --locked --offline --manifest-path benchmark/Cargo.toml -- --seed 1 --seconds 1
 
 fmt:
 	cargo fmt --all --check

@@ -168,7 +168,7 @@ fn pass_seed(model: &str, pass: u64) -> u64 {
 }
 
 /// The fault-free reference outputs, one per pass (computed on
-/// unprotected memory: layer arithmetic digests plaintext, so the clean
+/// unprotected memory: layer arithmetic folds plaintext, so the clean
 /// output is scheme-independent — the attack harness asserts this).
 fn reference_outputs(model: &Model, passes: u64) -> Vec<Vec<u8>> {
     let mut r = SecureRunner::with_memory(model, UnsecureMemory::new(), pass_seed(&model.name, 0));
@@ -455,6 +455,14 @@ mod tests {
         let rendered = render(&cells);
         assert!(rendered.contains("all 24 cells match"), "{rendered}");
         assert!(!rendered.contains('!'), "{rendered}");
+        // Every byte is pinned, recovery totals included: which reads a
+        // fault lands on, and so the totals, must not move with the data
+        // the sessions compute.
+        assert_eq!(
+            rendered,
+            include_str!("../tests/golden/faults_df_p101.txt"),
+            "the df p101 fault render drifted from its golden"
+        );
         // The lowered version limit makes every surviving cell sweep at
         // least once. Stuck-at cells on protected schemes are quarantined
         // before exhaustion and their recovery sweep correctly aborts in

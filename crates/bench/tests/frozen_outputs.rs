@@ -11,6 +11,9 @@
 //! * the reduced experiment sweep the determinism test drives (the same
 //!   tables `results_full.txt` is built from, at df/ncf scale).
 //!
+//! The df fault matrix at period 101 (`faults_df_p101.txt`) is pinned by
+//! the `faults` unit test that already renders it at two thread counts.
+//!
 //! To re-bless after an *intentional* output change:
 //!
 //! ```text

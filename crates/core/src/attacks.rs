@@ -300,8 +300,9 @@ type ReferenceSlot = Arc<OnceLock<Arc<[u8]>>>;
 static REFERENCES: Mutex<Vec<(Model, u64, u64, ReferenceSlot)>> = Mutex::new(Vec::new());
 
 /// The unattacked second-pass output — the differential oracle. Computed
-/// on unprotected memory: the layer arithmetic digests *plaintext*, so the
-/// clean output is scheme-independent (asserted by the tests below).
+/// on unprotected memory: the layer arithmetic folds *plaintext* (see
+/// [`crate::secure_runner`]), so the clean output is scheme-independent
+/// (asserted by the tests below).
 ///
 /// One unsecure pass gives it: weights from `s1`, then
 /// `next_inference(s2)`, a run, and the read-back. A clean pass 1 cannot
@@ -435,7 +436,7 @@ pub fn run_cell_on(
     let blocks = tensor.bytes.div_ceil(BLOCK_SIZE as u64).max(1);
     let victim_block = rng.next_below(blocks);
     let victim = tensor.addr.offset(victim_block * BLOCK_SIZE as u64);
-    // Layer ingestion digests whole blocks; only the final read-back
+    // Layer ingestion folds whole blocks; only the final read-back
     // truncates to the tensor's real length, so bit-flips against the
     // last partially-used block must stay in the bytes the CPU reads.
     let live_bytes = match consumer {

@@ -20,16 +20,19 @@
 //! Tests tamper with the untrusted DRAM between steps and watch the next
 //! `mvin` fail.
 //!
-//! Layer arithmetic is a deterministic byte-mixing function (a digest of
-//! the verified inputs seeds the output bytes) — enough to carry data-flow
-//! dependencies end-to-end without simulating FP math. Use small models
-//! for functional runs: every byte really is encrypted and MAC'd.
+//! Layer arithmetic stands in for the accelerator's math, which the
+//! integrity argument leaves outside (§III-B): a 64-bit [`Fold64`] of the
+//! layer name and every verified input block seeds the output bytes. That
+//! carries data-flow dependencies end-to-end without simulating FP math —
+//! flipping any one bit of a block the next layer verifies changes the
+//! fold, and with it the output. The fold protects nothing: MACs, the
+//! counter tree and attestation keep SHA-256. Use small models for
+//! functional runs: every byte really is encrypted and MAC'd.
 
 use crate::cpu_access::{CpuTensorAccess, TsError};
 use crate::recovery::{Recovery, RecoveryStats, RetryPolicy};
 use crate::serving::Switcher;
 use crate::version::{VersionError, VersionSnapshot, VersionTable};
-use tnpu_crypto::sha256::Sha256;
 use tnpu_crypto::Key128;
 use tnpu_memprot::functional::{FunctionalMemory, IntegrityError, MismatchCause, TreelessMemory};
 use tnpu_memprot::ProtectionEngine;
@@ -37,7 +40,7 @@ use tnpu_models::defs::dynamic::CACHE_MARKER;
 use tnpu_models::{LayerKind, Model, ELEM_BYTES};
 use tnpu_npu::alloc::{ModelLayout, TensorInfo};
 use tnpu_npu::config::NpuConfig;
-use tnpu_sim::rng::SplitMix64;
+use tnpu_sim::rng::{Fold64, SplitMix64};
 use tnpu_sim::{Addr, BLOCK_SIZE};
 
 /// Tile granularity (bytes) for output production (per-tile version bump).
@@ -445,17 +448,17 @@ impl<M: FunctionalMemory, P> Session<M, P> {
     }
 
     /// Verify + read one whole tensor (every block, under its current
-    /// version), feeding the digest.
+    /// version), folding it into the step's arithmetic.
     pub(crate) fn ingest_tensor(
         &mut self,
-        digest: &mut Sha256,
+        fold: &mut Fold64,
         info: TensorInfo,
     ) -> Result<u64, RunError> {
         let version = self.table.version(info.id, 0)?;
         let blocks = info.bytes.div_ceil(BLOCK_SIZE as u64);
         for b in 0..blocks {
             let data = self.verified_read(info.addr.offset(b * BLOCK_SIZE as u64), version)?;
-            digest.update(&data);
+            fold.update(&data);
         }
         Ok(blocks)
     }
@@ -468,13 +471,14 @@ impl<M: FunctionalMemory, P> Session<M, P> {
         )
     }
 
-    /// The mvout phase: produce `out` from a step digest tile by tile —
-    /// expand, bump each tile's version, write, then merge. Returns the
-    /// tile count and the blocks written.
+    /// The mvout phase: produce `out` tile by tile from `state`, the
+    /// step's [`Fold64`] of its verified inputs — expand, bump each tile's
+    /// version, write bytes drawn from `state ^ tile`, then merge. Returns
+    /// the tile count and the blocks written.
     pub(crate) fn produce_output(
         &mut self,
         out: TensorInfo,
-        state: &[u8; 32],
+        state: u64,
     ) -> Result<(u32, u64), RunError> {
         // Refuse before expanding: a failed step must leave the tensor
         // merged, or the retry after `recover` could never expand it again.
@@ -488,7 +492,7 @@ impl<M: FunctionalMemory, P> Session<M, P> {
             let version = self.table.bump_tile(out.id, tile)?;
             let tile_base = u64::from(tile) * TILE_BYTES;
             let tile_len = TILE_BYTES.min(out.bytes - tile_base);
-            let mut rng = SplitMix64::new(state_seed(state) ^ u64::from(tile));
+            let mut rng = SplitMix64::new(state ^ u64::from(tile));
             let mut off = 0;
             while off < tile_len {
                 let mut block = [0u8; BLOCK_SIZE];
@@ -767,7 +771,7 @@ impl<M: FunctionalMemory> Session<M, Inference> {
     /// are verified — the fine-grained access of §III-B).
     fn ingest_gathers(
         &mut self,
-        digest: &mut Sha256,
+        fold: &mut Fold64,
         table_info: TensorInfo,
         vocab: u64,
         dim: u64,
@@ -781,7 +785,7 @@ impl<M: FunctionalMemory> Session<M, Inference> {
             let row = rng.next_below(vocab);
             let start = table_info.addr.offset(row * row_bytes);
             for b in tnpu_sim::blocks_covering(start, row_bytes) {
-                digest.update(&self.verified_read(b.base(), version)?);
+                fold.update(&self.verified_read(b.base(), version)?);
                 blocks += 1;
             }
         }
@@ -813,8 +817,8 @@ impl<M: FunctionalMemory> Session<M, Inference> {
         if self.recovery.is_some() && self.output_would_exhaust(out)? {
             self.epoch_sweep()?;
         }
-        let mut digest = Sha256::new();
-        digest.update(layer.name.as_bytes());
+        let mut fold = Fold64::new();
+        fold.update(layer.name.as_bytes());
         let mut blocks_read = 0;
 
         // mvin phase: verify every input under its expected version.
@@ -823,20 +827,20 @@ impl<M: FunctionalMemory> Session<M, Inference> {
                 // tnpu-lint: allow(panic-path) — layout allocation gives
                 // every embedding layer a weight slot.
                 let table = weights.expect("embedding table");
-                blocks_read += self.ingest_gathers(&mut digest, table, vocab, dim, seq)?;
+                blocks_read += self.ingest_gathers(&mut fold, table, vocab, dim, seq)?;
             }
             _ => {
                 for src in &layer.inputs {
-                    blocks_read += self.ingest_tensor(&mut digest, self.layout.source(*src))?;
+                    blocks_read += self.ingest_tensor(&mut fold, self.layout.source(*src))?;
                 }
                 if let Some(w) = weights {
-                    blocks_read += self.ingest_tensor(&mut digest, w)?;
+                    blocks_read += self.ingest_tensor(&mut fold, w)?;
                 }
             }
         }
 
         // Compute + mvout phase.
-        let (tiles, blocks_written) = self.produce_output(out, &digest.finalize())?;
+        let (tiles, blocks_written) = self.produce_output(out, fold.finish())?;
         self.cursor += 1;
         Ok(LayerTrace {
             name: layer.name,
@@ -925,17 +929,12 @@ pub(crate) fn rng_bytes(mut rng: SplitMix64, len: u64) -> Vec<u8> {
     out
 }
 
-/// The first eight digest bytes as a little-endian RNG seed.
-pub(crate) fn state_seed(state: &[u8; 32]) -> u64 {
-    let mut seed = [0u8; 8];
-    // tnpu-lint: allow(panic-path) — `[..8]` of a `[u8; 32]` parameter.
-    seed.copy_from_slice(&state[..8]);
-    u64::from_le_bytes(seed)
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stepped::SteppedSession;
+    use tnpu_memprot::functional::UnsecureMemory;
+    use tnpu_models::builder::ModelBuilder;
     use tnpu_models::registry;
 
     fn runner(name: &str) -> SecureRunner {
@@ -970,6 +969,33 @@ mod tests {
         a.run().expect("ok");
         b.run().expect("ok");
         assert_ne!(a.read_output().expect("ok"), b.read_output().expect("ok"));
+    }
+
+    #[test]
+    fn any_bit_flip_in_a_verified_block_reaches_the_output() {
+        // The `Corrupted` verdict on unprotected memory rests on this: the
+        // layer arithmetic folds every verified block, so one flipped bit
+        // in a block the next layer reads always changes the pass output.
+        let model = ModelBuilder::new("flip", "FlipNet", (2, 4, 4))
+            .fc("f1", 32)
+            .fc("f2", 16)
+            .build();
+        let mut clean = SecureRunner::with_memory(&model, UnsecureMemory::new(), 3);
+        clean.run().expect("unprotected run cannot fail");
+        let want = clean.read_output().expect("unprotected read cannot fail");
+        let victim = clean.layout().outputs[0];
+        assert_eq!(victim.bytes, BLOCK_SIZE as u64, "f1's output is one block");
+        for bit in 0..(BLOCK_SIZE * 8) as u16 {
+            let mut r = SecureRunner::with_memory(&model, UnsecureMemory::new(), 3);
+            r.step().expect("f1 runs");
+            assert!(r.memory_mut().tamper_bits(victim.addr, &[bit]), "written");
+            r.run().expect("unprotected run cannot fail");
+            let got = r.read_output().expect("unprotected read cannot fail");
+            assert_ne!(
+                got, want,
+                "bit {bit} of f1's output never reached the output"
+            );
+        }
     }
 
     #[test]

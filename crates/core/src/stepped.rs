@@ -35,14 +35,13 @@
 //!
 //! [`VersionTable::expand`]: crate::version::VersionTable::expand
 
-use crate::secure_runner::{rng_bytes, state_seed, RunError, Session, TILE_BYTES};
-use tnpu_crypto::sha256::Sha256;
+use crate::secure_runner::{rng_bytes, RunError, Session, TILE_BYTES};
 use tnpu_crypto::Key128;
 use tnpu_memprot::functional::{FunctionalMemory, TreelessMemory};
 use tnpu_models::defs::dynamic::DECODE_DIM;
 use tnpu_models::{Model, ELEM_BYTES};
 use tnpu_npu::alloc::TensorInfo;
-use tnpu_sim::rng::SplitMix64;
+use tnpu_sim::rng::{Fold64, SplitMix64};
 use tnpu_sim::BLOCK_SIZE;
 
 /// Bytes one decode step appends to each cache (one token's K or V).
@@ -80,10 +79,10 @@ pub struct StepTrace {
 /// append by append.
 #[derive(Debug, Clone, Copy)]
 pub struct Stepped {
-    /// Digest of the weight plaintexts the enclave itself initialized;
-    /// folded into each decode step's digest in place of re-reading the
-    /// weight-stationary parameters from DRAM every token.
-    weight_state: [u8; 32],
+    /// [`Fold64`] of the weight plaintexts the enclave itself initialized;
+    /// folded into each decode step's arithmetic in place of re-reading
+    /// the weight-stationary parameters from DRAM every token.
+    weight_state: u64,
 }
 
 /// A session running the [`Stepped`] decode/train program.
@@ -104,14 +103,12 @@ impl<M: FunctionalMemory> Session<M, Stepped> {
     /// their state is built up append by append.
     #[must_use]
     pub fn with_memory(model: &Model, mem: M, seed: u64) -> Self {
-        let program = Stepped {
-            weight_state: [0; 32],
-        };
+        let program = Stepped { weight_state: 0 };
         let mut s = Session::alloc(model, mem, seed, true, program);
-        let mut digest = Sha256::new();
-        digest.update(b"weight-state");
-        s.init_weights(|bytes| digest.update(bytes));
-        s.program.weight_state = digest.finalize();
+        let mut fold = Fold64::new();
+        fold.update(b"weight-state");
+        s.init_weights(|bytes| fold.update(bytes));
+        s.program.weight_state = fold.finish();
         // Decode steps until the smallest cache is full; train is unbounded.
         let per_cache = s.caches.iter().map(|c| c.bytes / APPEND_BYTES);
         s.capacity = per_cache.min().unwrap_or(u64::MAX);
@@ -187,11 +184,12 @@ impl<M: FunctionalMemory> Session<M, Stepped> {
     }
 
     /// Verify + read every written tile of a cache under its tile
-    /// version, feeding the digest; returns the frontier tile's bytes if
-    /// it has been written (the read half of the append's RMW).
+    /// version, folding it into the step's arithmetic; returns the
+    /// frontier tile's bytes if it has been written (the read half of the
+    /// append's RMW).
     fn ingest_cache(
         &mut self,
-        digest: &mut Sha256,
+        fold: &mut Fold64,
         cache: TensorInfo,
         frontier: u32,
         blocks_read: &mut u64,
@@ -212,15 +210,18 @@ impl<M: FunctionalMemory> Session<M, Stepped> {
             }
             let tile_len = TILE_BYTES.min(cache.bytes - tile_base);
             let blocks = tile_len.div_ceil(BLOCK_SIZE as u64);
-            let mut data = Vec::with_capacity((blocks as usize) * BLOCK_SIZE);
+            // Only the frontier tile is rewritten, so only its bytes are kept.
+            let mut data = (tile == frontier).then(|| Vec::with_capacity(tile_len as usize));
             for b in 0..blocks {
                 let addr = cache.addr.offset(tile_base + b * BLOCK_SIZE as u64);
                 let block = self.verified_read(addr, version)?;
-                digest.update(&block);
-                data.extend_from_slice(&block);
+                fold.update(&block);
+                if let Some(data) = data.as_mut() {
+                    data.extend_from_slice(&block);
+                }
                 *blocks_read += 1;
             }
-            if tile == frontier {
+            if let Some(mut data) = data {
                 data.truncate(tile_len as usize);
                 frontier_bytes = Some(data);
             }
@@ -235,7 +236,7 @@ impl<M: FunctionalMemory> Session<M, Stepped> {
     fn append_cache(
         &mut self,
         cache: TensorInfo,
-        state: &[u8; 32],
+        state: u64,
         prior: Option<Vec<u8>>,
         blocks_written: &mut u64,
     ) -> Result<bool, RunError> {
@@ -259,7 +260,7 @@ impl<M: FunctionalMemory> Session<M, Stepped> {
         let mut bytes = prior.unwrap_or_else(|| vec![0u8; tile_len as usize]);
         bytes.resize(tile_len as usize, 0);
         let local = (off - tile_base) as usize;
-        let mut rng = SplitMix64::new(state_seed(state) ^ (u64::from(cache.id) << 32) ^ off);
+        let mut rng = SplitMix64::new(state ^ (u64::from(cache.id) << 32) ^ off);
         let end = (local + APPEND_BYTES as usize).min(bytes.len());
         // tnpu-lint: allow(panic-path) — local < end <= bytes.len(): the
         // frontier offset lies inside the tile buffer sized just above.
@@ -307,48 +308,43 @@ impl<M: FunctionalMemory> Session<M, Stepped> {
 
         // Ingest phase: the new token/batch under a bumped input version.
         swept |= self.write_input(self.seed.wrapping_add(s))?;
-        let mut digest = Sha256::new();
-        digest.update(b"stepped");
-        digest.update(&s.to_le_bytes());
-        let mut blocks_read = self.ingest_tensor(&mut digest, self.layout.input)?;
+        let mut fold = Fold64::new();
+        fold.update(b"stepped");
+        fold.update(&s.to_le_bytes());
+        let mut blocks_read = self.ingest_tensor(&mut fold, self.layout.input)?;
 
         let mut grew_cache = false;
         match self.kind() {
             SteppedKind::Decode => {
                 // Weight-stationary: parameters were initialized by this
                 // enclave and never leave DRAM unmodified reads behind —
-                // their digest was taken at init, for free.
-                digest.update(&self.program.weight_state);
+                // their fold was taken at init, for free.
+                fold.update(&self.program.weight_state.to_le_bytes());
                 // Attention reads the whole written KV prefix, verified
                 // tile by tile under the per-tile versions.
                 let frontier = ((s * APPEND_BYTES) / TILE_BYTES) as u32;
                 let mut priors = Vec::with_capacity(self.caches.len());
                 for cache in self.caches.clone() {
-                    priors.push(self.ingest_cache(
-                        &mut digest,
-                        cache,
-                        frontier,
-                        &mut blocks_read,
-                    )?);
+                    priors.push(self.ingest_cache(&mut fold, cache, frontier, &mut blocks_read)?);
                 }
-                let state = digest.finalize();
+                let state = fold.finish();
                 for (cache, prior) in self.caches.clone().into_iter().zip(priors) {
-                    grew_cache |= self.append_cache(cache, &state, prior, &mut blocks_written)?;
+                    grew_cache |= self.append_cache(cache, state, prior, &mut blocks_written)?;
                 }
-                blocks_written += self.produce_output(self.output(), &state)?.1;
+                blocks_written += self.produce_output(self.output(), state)?.1;
             }
             SteppedKind::Train => {
                 // The churn path: every weight is streamed in verified...
                 for w in self.weights.clone() {
-                    blocks_read += self.ingest_tensor(&mut digest, w)?;
+                    blocks_read += self.ingest_tensor(&mut fold, w)?;
                 }
-                let state = digest.finalize();
-                blocks_written += self.produce_output(self.output(), &state)?.1;
+                let state = fold.finish();
+                blocks_written += self.produce_output(self.output(), state)?.1;
                 // ...and rewritten by the SGD update under a bumped
                 // version. The pre-flight swept if any would exhaust.
                 for w in self.weights.clone() {
                     let v = self.bump_or_sweep(w.id, &mut swept)?;
-                    let seed = state_seed(&state) ^ (u64::from(w.id) << 32) ^ s;
+                    let seed = state ^ (u64::from(w.id) << 32) ^ s;
                     let bytes = rng_bytes(SplitMix64::new(seed), w.bytes);
                     self.cpu.write_tensor(&mut self.mem, w.addr, v, &bytes);
                     blocks_written += w.bytes.div_ceil(BLOCK_SIZE as u64);

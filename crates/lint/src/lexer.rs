@@ -10,8 +10,7 @@
 //!
 //! * `// tnpu-lint: allow(rule-a, rule-b)` escape-hatch comments, mapped to
 //!   the lines they cover (the comment's own line and the next line);
-//! * `#[cfg(test)]`-gated regions, so rules that exempt test code can skip
-//!   diagnostics inside them.
+//! * `#[cfg(test)]`-gated regions, which every rule exempts.
 
 use std::collections::{BTreeMap, BTreeSet};
 

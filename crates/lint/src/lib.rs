@@ -116,15 +116,15 @@ fn path_under(path: &str, prefix: &str) -> bool {
 }
 
 /// Whether a rule with this scope applies to `path`. Shared by lexical
-/// and semantic rules.
-fn scope_applies(include: &[&str], exclude: &[&str], exempt_tests: bool, path: &str) -> bool {
+/// and semantic rules; test directories are exempt from every rule.
+fn scope_applies(include: &[&str], exclude: &[&str], path: &str) -> bool {
     if !include.is_empty() && !include.iter().any(|p| path_under(path, p)) {
         return false;
     }
     if exclude.iter().any(|p| path_under(path, p)) {
         return false;
     }
-    !(exempt_tests && in_test_dir(path))
+    !in_test_dir(path)
 }
 
 /// Whether `path` lives in a directory conventionally holding test,
@@ -157,10 +157,10 @@ pub fn report(files: &[AnalyzedFile]) -> Report {
     for (fi, file) in files.iter().enumerate() {
         for (rule_id, line, message) in &file.lexical {
             let rule = rules::rule_by_id(rule_id).expect("lexical rules are registered");
-            if !scope_applies(rule.include, rule.exclude, rule.exempt_tests, &file.path) {
+            if !scope_applies(rule.include, rule.exclude, &file.path) {
                 continue;
             }
-            if rule.exempt_tests && file.side.in_test_region(*line) {
+            if file.side.in_test_region(*line) {
                 continue;
             }
             if let Some(allow_line) = file.side.allow_line_for(rule.id, *line) {
@@ -189,10 +189,10 @@ pub fn report(files: &[AnalyzedFile]) -> Report {
     for finding in callgraph::analyze(&ws) {
         let file = &files[finding.file];
         let rule = rules::sem_rule_by_id(finding.rule).expect("semantic rules are registered");
-        if !scope_applies(rule.include, rule.exclude, rule.exempt_tests, &file.path) {
+        if !scope_applies(rule.include, rule.exclude, &file.path) {
             continue;
         }
-        if rule.exempt_tests && file.side.in_test_region(finding.line) {
+        if file.side.in_test_region(finding.line) {
             continue;
         }
         if let Some(allow_line) = file.side.allow_line_for(rule.id, finding.line) {

@@ -56,7 +56,9 @@ impl Family {
     }
 }
 
-/// A lint rule: scope defaults plus a token-pattern check.
+/// A lint rule: scope defaults plus a token-pattern check. Every rule,
+/// lexical or semantic, skips `#[cfg(test)]` regions and `tests/`,
+/// `benches/`, `examples/` and `fixtures/` directories.
 pub struct Rule {
     /// Kebab-case id used in diagnostics and allow comments.
     pub id: &'static str,
@@ -69,9 +71,6 @@ pub struct Rule {
     pub include: &'static [&'static str],
     /// Path prefixes exempt from the rule.
     pub exclude: &'static [&'static str],
-    /// Whether `#[cfg(test)]` regions and `tests/`, `benches/`, `examples/`
-    /// directories are exempt.
-    pub exempt_tests: bool,
     /// The check itself. Receives the lexed file; returns raw findings
     /// (filtered by path scope and allow comments afterwards).
     pub check: fn(&LexedFile) -> Vec<Finding>,
@@ -122,7 +121,6 @@ pub const RULES: &[Rule] = &[
         summary: "HashMap/HashSet in result-feeding crates (iteration order is nondeterministic)",
         include: RESULT_CRATES,
         exclude: &[],
-        exempt_tests: true,
         check: check_hash_collections,
     },
     Rule {
@@ -131,7 +129,6 @@ pub const RULES: &[Rule] = &[
         summary: "Instant/SystemTime/std::env inside simulation paths",
         include: SIMULATION_CRATES,
         exclude: &[],
-        exempt_tests: true,
         check: check_wallclock,
     },
     Rule {
@@ -140,7 +137,6 @@ pub const RULES: &[Rule] = &[
         summary: "RNG constructed from a hard-coded literal seed instead of the RunSpec derivation",
         include: RESULT_CRATES,
         exclude: &["crates/sim/src/rng.rs"],
-        exempt_tests: true,
         check: check_rng_seed_literal,
     },
     Rule {
@@ -149,7 +145,6 @@ pub const RULES: &[Rule] = &[
         summary: "narrowing `as` cast in cycle/byte code (silent truncation)",
         include: &["crates/sim", "crates/npu"],
         exclude: &[],
-        exempt_tests: true,
         check: check_narrowing_cast,
     },
     Rule {
@@ -158,7 +153,6 @@ pub const RULES: &[Rule] = &[
         summary: "bare +/* in accounting modules (overflow wraps in release builds)",
         include: ACCOUNTING_FILES,
         exclude: &[],
-        exempt_tests: true,
         check: check_unchecked_arith,
     },
     Rule {
@@ -167,7 +161,6 @@ pub const RULES: &[Rule] = &[
         summary: "float accumulation over map iteration order",
         include: RESULT_CRATES,
         exclude: &[],
-        exempt_tests: true,
         check: check_float_accumulation,
     },
     Rule {
@@ -176,7 +169,6 @@ pub const RULES: &[Rule] = &[
         summary: "VersionTable handled outside the version-manager crate",
         include: &[],
         exclude: &["crates/core"],
-        exempt_tests: true,
         check: check_version_table_scope,
     },
 ];
@@ -197,8 +189,6 @@ pub struct SemRule {
     pub include: &'static [&'static str],
     /// Path prefixes exempt from the rule.
     pub exclude: &'static [&'static str],
-    /// Whether test regions/directories are exempt.
-    pub exempt_tests: bool,
 }
 
 /// The semantic rule families (see `LINTS.md` for the full semantics).
@@ -212,7 +202,6 @@ pub const SEM_RULES: &[SemRule] = &[
         // Code inside memprot is the protection implementation itself;
         // the rule reports the call sites that cross into it.
         exclude: &["crates/memprot"],
-        exempt_tests: true,
     },
     SemRule {
         id: "panic-path",
@@ -230,7 +219,6 @@ pub const SEM_RULES: &[SemRule] = &[
         // context/secure_runner/version/tee stays audited and must carry
         // its own justification.
         exclude: &["crates/core/src/attacks.rs", "crates/core/src/serving.rs"],
-        exempt_tests: true,
     },
     SemRule {
         id: "error-variant-consumption",
@@ -239,7 +227,6 @@ pub const SEM_RULES: &[SemRule] = &[
                   in non-test code",
         include: &[],
         exclude: &[],
-        exempt_tests: true,
     },
 ];
 

@@ -14,7 +14,9 @@
 //!   bandwidth model, which limits the maximum bandwidth" §V-A).
 //! * [`stats`] — traffic and event counters shared by the engines.
 //! * [`rng::SplitMix64`] — a tiny deterministic RNG for workload index
-//!   streams (embedding gathers), so experiments are reproducible.
+//!   streams (embedding gathers), so experiments are reproducible, and
+//!   [`rng::Fold64`], the 64-bit fold the functional sessions seed their
+//!   layer outputs from.
 //!
 //! # Examples
 //!

@@ -1,4 +1,5 @@
-//! A tiny deterministic RNG for workload generation.
+//! A tiny deterministic RNG for workload generation, and the 64-bit fold
+//! that turns a byte stream into one of its seeds.
 //!
 //! Embedding layers gather pseudo-random rows (token indices); using a fixed,
 //! dependency-free generator keeps every experiment bit-reproducible across
@@ -138,6 +139,93 @@ impl Default for SplitMix64 {
     }
 }
 
+/// A streaming 64-bit fold of a byte stream, built on the SplitMix64
+/// output mix: `h = mix(h ^ word)` for each little-endian 64-bit word,
+/// then the zero-padded partial tail word (if any) and the total length.
+///
+/// The mix is a bijection, so each step is one in `h` for a fixed word
+/// and one in the word for a fixed `h`: two equal-length streams that
+/// differ in a single word always fold to different values. Changes to
+/// several words collide with a chance of about 2^-64. Not a
+/// cryptographic hash — anyone can construct collisions — so it only
+/// carries data flow, never protects anything.
+///
+/// # Examples
+///
+/// ```
+/// use tnpu_sim::rng::Fold64;
+/// let mut split = Fold64::new();
+/// split.update(b"layer");
+/// split.update(&[7; 64]);
+/// let mut whole = Fold64::new();
+/// whole.update(&[b"layer".as_slice(), &[7; 64]].concat());
+/// assert_eq!(split.finish(), whole.finish()); // split points don't matter
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fold64 {
+    h: u64,
+    /// Bytes of the word not yet complete, `tail[..tail_len]`.
+    tail: [u8; 8],
+    tail_len: usize,
+    /// Total bytes folded.
+    len: u64,
+}
+
+impl Fold64 {
+    /// An empty fold.
+    #[must_use]
+    pub fn new() -> Self {
+        Fold64 {
+            h: 0x9E37_79B9_7F4A_7C15,
+            tail: [0; 8],
+            tail_len: 0,
+            len: 0,
+        }
+    }
+
+    /// Fold in `bytes`; any split of a stream into updates gives the
+    /// one-shot result.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.tail_len > 0 {
+            let take = (8 - self.tail_len).min(bytes.len());
+            let (head, rest) = bytes.split_at(take);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(head);
+            self.tail_len += take;
+            bytes = rest;
+            if self.tail_len < 8 {
+                return;
+            }
+            self.h = mix(self.h ^ u64::from_le_bytes(self.tail));
+            self.tail_len = 0;
+        }
+        let (words, rest) = bytes.as_chunks::<8>();
+        for word in words {
+            self.h = mix(self.h ^ u64::from_le_bytes(*word));
+        }
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// The fold of everything updated so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        let mut h = self.h;
+        if self.tail_len > 0 {
+            let mut word = [0u8; 8];
+            word[..self.tail_len].copy_from_slice(&self.tail[..self.tail_len]);
+            h = mix(h ^ u64::from_le_bytes(word));
+        }
+        mix(h ^ self.len)
+    }
+}
+
+impl Default for Fold64 {
+    fn default() -> Self {
+        Fold64::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +313,21 @@ mod tests {
     fn exponential_zero_mean_is_zero() {
         let mut r = SplitMix64::new(5);
         assert_eq!(r.next_exponential(0), 0);
+    }
+
+    #[test]
+    fn fold_counts_zero_padding() {
+        // The tail word is zero-padded, so only the folded length tells
+        // these streams apart.
+        let fold = |bytes: &[u8]| {
+            let mut f = Fold64::new();
+            f.update(bytes);
+            f.finish()
+        };
+        let folds: Vec<u64> = (0..=9).map(|n| fold(&vec![0; n])).collect();
+        for (i, a) in folds.iter().enumerate() {
+            assert!(folds[i + 1..].iter().all(|b| b != a), "{i} zero bytes");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests of block addressing and the cache model over arbitrary
-//! ranges and access streams.
+//! Property tests of block addressing, the cache model and the 64-bit
+//! fold over arbitrary ranges, access streams and byte streams.
 
 use proptest::prelude::*;
 use tnpu_sim::cache::{AccessKind, Cache, CacheConfig};
+use tnpu_sim::rng::Fold64;
 use tnpu_sim::{block_count, blocks_covering, Addr};
 
 proptest! {
@@ -38,4 +39,61 @@ proptest! {
         prop_assert_eq!(stats.accesses(), addrs.len() as u64);
         prop_assert!(stats.writebacks <= stats.misses);
     }
+
+    /// Flipping any single bit of a multi-block stream changes the fold:
+    /// every step is a bijection, so one changed word always shows.
+    #[test]
+    fn fold_sees_every_single_bit_flip(stream in prop::collection::vec(any::<u8>(), 129..300)) {
+        let want = fold(&stream);
+        let mut flipped = stream.clone();
+        for bit in 0..flipped.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert_ne!(fold(&flipped), want, "bit {} of {}", bit, stream.len());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Swapping two distinct words changes the fold: word order matters.
+    #[test]
+    fn fold_is_word_order_sensitive(
+        words in prop::collection::vec(any::<u64>(), 2..40),
+        i in any::<usize>(),
+        j in any::<usize>(),
+    ) {
+        let (i, j) = (i % words.len(), j % words.len());
+        let mut swapped = words.clone();
+        swapped.swap(i, j);
+        if words[i] != words[j] {
+            prop_assert_ne!(fold(&le_bytes(&swapped)), fold(&le_bytes(&words)), "{} <-> {}", i, j);
+        }
+    }
+
+    /// Splitting a stream into updates at arbitrary byte offsets gives the
+    /// one-shot fold.
+    #[test]
+    fn fold_ignores_update_boundaries(
+        stream in prop::collection::vec(any::<u8>(), 0..300),
+        cuts in prop::collection::vec(any::<usize>(), 0..12),
+    ) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut split = Fold64::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([stream.len()]) {
+            split.update(&stream[start..cut]);
+            start = cut;
+        }
+        prop_assert_eq!(split.finish(), fold(&stream));
+    }
+}
+
+/// The one-shot fold of `bytes`.
+fn fold(bytes: &[u8]) -> u64 {
+    let mut f = Fold64::new();
+    f.update(bytes);
+    f.finish()
+}
+
+fn le_bytes(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
