@@ -26,6 +26,10 @@ bench-smoke:
 fmt:
 	cargo fmt --all --check
 
+# Clippy with the root clippy.toml: every RawDram method outside the
+# functional memories and HashMap/HashSet in any target are errors, and so
+# are value-changing casts in tnpu-sim and tnpu-npu (set at their crate
+# roots). Clippy re-lints when clippy.toml changes. See LINTS.md.
 clippy:
 	cargo clippy --workspace --all-targets --locked -- -D warnings
 
@@ -33,10 +37,11 @@ clippy:
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
-# Workspace-policy linter (determinism / unit-safety / security-hygiene
-# rules plus the call-graph semantic families); --deny-all turns every
-# finding into a nonzero exit and --deny-unused-allows fails on stale
-# suppression comments. See LINTS.md.
+# Workspace-policy linter for the rules clippy cannot state: path-scoped
+# bans (wall clock, VersionTable), literal RNG seeds, bare arithmetic in
+# accounting files, panics in the session core and unconsumed error
+# variants; --deny-all turns every finding into a nonzero exit and
+# --deny-unused-allows fails on stale suppression comments. See LINTS.md.
 lint:
 	cargo run -p tnpu-lint --release --locked -- --deny-all --deny-unused-allows
 

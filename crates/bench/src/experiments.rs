@@ -9,6 +9,7 @@ use crate::sweep::{self as pool, PoolReport};
 use crate::traced;
 use std::collections::BTreeMap;
 use tnpu_core::endtoend::{run_end_to_end_seeded, EndToEndReport};
+use tnpu_core::version::ENTRY_BYTES;
 use tnpu_core::RunSpec;
 use tnpu_memprot::SchemeKind;
 use tnpu_models::registry;
@@ -217,15 +218,10 @@ pub fn vtable_storage(models: &[&str]) -> Vec<(String, u64, u64)> {
         .map(|&name| {
             let model = registry::model(name).expect("registered model");
             let layout = tnpu_npu::alloc::ModelLayout::allocate(&model, tnpu_sim::Addr(0));
-            // tnpu-lint: allow(version-table-scope) — a scratch table built
-            // solely to measure §IV-D storage; no engine ever verifies it.
-            let mut table = tnpu_core::VersionTable::new();
-            for id in 0..layout.tensor_count {
-                table.register(id);
-            }
-            let steady = table.storage_bytes();
-            // Peak: steady state plus the largest single tile expansion
-            // (one tensor is expanded at a time; merged after each layer).
+            // Steady state: one entry per tensor. Peak: plus the largest
+            // single tile expansion (one tensor is expanded at a time;
+            // merged after each layer).
+            let steady = u64::from(layout.tensor_count) * ENTRY_BYTES;
             let max_tiles = layout
                 .outputs
                 .iter()
@@ -236,7 +232,7 @@ pub fn vtable_storage(models: &[&str]) -> Vec<(String, u64, u64)> {
                 })
                 .max()
                 .unwrap_or(1);
-            let peak = steady + (max_tiles.saturating_sub(1)) * 8;
+            let peak = steady + max_tiles.saturating_sub(1) * ENTRY_BYTES;
             (name.to_owned(), steady, peak)
         })
         .collect()

@@ -87,6 +87,8 @@ pub fn run_end_to_end_seeded(
     let mut init_done = stream_tensor(&mut ctl, layout.input, Dir::Write, Cycles::ZERO);
     for (li, weight) in layout.weights.iter().enumerate() {
         if let Some(w) = weight {
+            // tnpu-lint: allow(panic-path) — the layout has one weight slot
+            // per layer of `model`, the model it was allocated for.
             if model.layers[li].weights_shared_with.is_some() {
                 continue;
             }
@@ -105,6 +107,8 @@ pub fn run_end_to_end_seeded(
     let inference_done = report.total;
 
     // Phase 3: CPU reads the output back.
+    // tnpu-lint: allow(panic-path) — every registry model has layers, and
+    // the layout allocates one output per layer.
     let out = *layout.outputs.last().expect("models have layers");
     let total = stream_tensor(&mut ctl, out, Dir::Read, inference_done);
 

@@ -168,10 +168,12 @@ pub fn lower_secure(plan: &ModelPlan) -> Result<Vec<SecureInstr>, LowerError> {
     }
 
     for (li, &(start, end)) in plan.layer_jobs.iter().enumerate() {
+        // tnpu-lint: allow(panic-path) — the tiler plans one job range per
+        // layer of the layout it was given, which has one output per layer.
+        let out_id = layout.outputs[li].id;
         if start == end {
             // Zero-cost aliasing layer (concat): its region was written by
             // the branches; declare the alias version downstream reads use.
-            let out_id = layout.outputs[li].id;
             let version = table.bump(out_id)?;
             stream.push(SecureInstr::Alias {
                 tensor: out_id,
@@ -179,10 +181,12 @@ pub fn lower_secure(plan: &ModelPlan) -> Result<Vec<SecureInstr>, LowerError> {
             });
             continue;
         }
-        let out_id = layout.outputs[li].id;
+        // tnpu-lint: allow(panic-path) — `layer_jobs` holds consecutive
+        // `start..end` ranges the tiler cut from this same `jobs` vector.
+        let jobs = &plan.jobs[start..end];
         // Distinct output tiles this layer stores, in first-store order.
         let mut tile_index: BTreeMap<u32, u32> = BTreeMap::new();
-        for job in &plan.jobs[start..end] {
+        for job in jobs {
             for s in &job.stores {
                 if s.tensor_id == out_id {
                     let next = tile_index.len() as u32;
@@ -196,7 +200,7 @@ pub fn lower_secure(plan: &ModelPlan) -> Result<Vec<SecureInstr>, LowerError> {
             tensor: out_id,
             tiles,
         });
-        for job in &plan.jobs[start..end] {
+        for job in jobs {
             for load in &job.loads {
                 let version = table.version(load.tensor_id, 0)?;
                 stream.push(SecureInstr::MvinV {
@@ -211,6 +215,8 @@ pub fn lower_secure(plan: &ModelPlan) -> Result<Vec<SecureInstr>, LowerError> {
             });
             for store in &job.stores {
                 debug_assert_eq!(store.dir, Dir::Write);
+                // tnpu-lint: allow(panic-path) — a layer's jobs store only its
+                // output, and the scan above indexed every tile they store.
                 let tile = tile_index[&store.tile_id];
                 let version = table.bump_tile(store.tensor_id, tile)?;
                 stream.push(SecureInstr::MvoutV {

@@ -146,8 +146,6 @@ impl VersionSnapshot {
     /// saved state.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        // tnpu-lint: allow(float-accumulation) — u64 sum over a BTreeMap:
-        // integral and iterated in key order, so the order cannot matter.
         self.entries.values().map(VersionEntry::bytes).sum()
     }
 }
@@ -411,8 +409,6 @@ impl VersionTable {
     /// Current table storage in bytes.
     #[must_use]
     pub fn storage_bytes(&self) -> u64 {
-        // tnpu-lint: allow(float-accumulation) — u64 sum over a BTreeMap:
-        // integral and iterated in key order, so the order cannot matter.
         self.entries.values().map(VersionEntry::bytes).sum()
     }
 

@@ -3,30 +3,30 @@
 //!
 //! The paper's core claim (tree-less integrity with software-managed
 //! versions) and PR 2's byte-identical-sweep guarantee both rest on
-//! invariants `rustc` cannot see: no hash-order iteration into results, no
-//! wall clock inside the simulation, no DRAM path around the protection
-//! engine, version state owned by one module. This crate machine-checks
-//! them. See `LINTS.md` at the repository root for the rule catalogue.
+//! invariants `rustc` cannot see. Those clippy can state with type
+//! information (no `RawDram` call outside the functional memories, no hash
+//! collections, no narrowing casts in cycle/byte code) are set in the root
+//! `clippy.toml` and the crate roots; this crate machine-checks the rest:
+//! no wall clock inside the simulation, no literal RNG seeds, no bare
+//! arithmetic in accounting modules, version state owned by one module, no
+//! unjustified panic in the session core, and no dead error variant. See
+//! `LINTS.md` at the repository root for the rule catalogue.
 //!
 //! Pipeline: [`lexer`] tokenises a file (stripping comments and literal
 //! contents, recording `// tnpu-lint: allow(...)` comments and
-//! `#[cfg(test)]` regions), [`parser`] builds item-level structure on top
-//! of the tokens, [`rules`] pattern-match the token stream per file, and
-//! [`symbols`]/[`callgraph`] assemble a workspace-wide call graph for the
-//! semantic rule families (engine-bypass reachability, panic-path audit,
-//! error-variant consumption). [`lint_root`] reads and analyzes every
-//! file in one sequential pass, then scopes each finding by path (each
-//! rule's scope is compiled into [`rules`]) and filters through
-//! allow comments and test-region exemptions — tracking which allow
-//! comments actually fired, so stale justifications can be denied
-//! (`--deny-unused-allows`).
+//! `#[cfg(test)]` regions), [`parser`] collects panic sites, enum variants
+//! and pattern/expression paths from the tokens, and [`rules`] runs the
+//! token-pattern checks per file and the parse-based checks over every
+//! file. [`lint_root`] reads and analyzes every file in one sequential
+//! pass, then scopes each finding by path (each rule's scope is compiled
+//! into [`rules`]) and filters through allow comments and test-region
+//! exemptions — tracking which allow comments actually fired, so stale
+//! justifications can be denied (`--deny-unused-allows`).
 
-pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 pub mod sarif;
-pub mod symbols;
 
 use parser::ParsedFile;
 use rules::RULES;
@@ -69,18 +69,18 @@ pub const ROOTS: &[&str] = &["crates"];
 const SKIP: &[&str] = &["crates/lint/tests/fixtures", "target", "vendor"];
 
 /// Everything the analysis extracts from one file, independent of
-/// its path scope: scope filtering, allow filtering, and the semantic rules
-/// all run downstream of this.
+/// its path scope: scope filtering, allow filtering, and the parse-based
+/// rules all run downstream of this.
 #[derive(Debug)]
 pub struct AnalyzedFile {
     /// Workspace-relative, `/`-separated path.
     pub path: String,
-    /// Item-level parse (functions, calls, enums, uses, path refs).
+    /// Item-level parse (panic sites, enums, uses, path refs).
     pub parsed: ParsedFile,
     /// Lexer side tables (allow comments, comment/attr lines, test
     /// regions); `tokens` is empty, as nothing downstream reads it.
     pub side: lexer::LexedFile,
-    /// Raw lexical findings for *every* rule, pre scope/allow filtering:
+    /// Raw findings of every token-pattern rule, pre scope/allow filtering:
     /// `(rule id, line, message)`.
     pub lexical: Vec<(&'static str, u32, String)>,
 }
@@ -92,8 +92,10 @@ pub fn analyze_source(path: &str, src: &str) -> AnalyzedFile {
     let parsed = parser::parse(&lexed);
     let mut lexical = Vec::new();
     for rule in RULES {
-        for finding in (rule.check)(&lexed) {
-            lexical.push((rule.id, finding.line, finding.message));
+        if let rules::Check::Tokens(check) = rule.check {
+            for finding in check(&lexed) {
+                lexical.push((rule.id, finding.line, finding.message));
+            }
         }
     }
     lexed.tokens = Vec::new();
@@ -116,7 +118,7 @@ fn path_under(path: &str, prefix: &str) -> bool {
 }
 
 /// Whether a rule with this scope applies to `path`. Shared by lexical
-/// and semantic rules; test directories are exempt from every rule.
+/// and parse-based rules; test directories are exempt from every rule.
 fn scope_applies(include: &[&str], exclude: &[&str], path: &str) -> bool {
     if !include.is_empty() && !include.iter().any(|p| path_under(path, p)) {
         return false;
@@ -144,66 +146,42 @@ pub struct Report {
     pub unused_allows: Vec<Diagnostic>,
 }
 
-/// Apply scoping, test-region, and allow filtering to raw findings and run
-/// the semantic rules; track which allow comments fired.
+/// Run the parse-based rules, then apply scoping, test-region, and allow
+/// filtering to every raw finding; track which allow comments fired.
 #[must_use]
 pub fn report(files: &[AnalyzedFile]) -> Report {
+    // (file index, line, rule id, message) before filtering.
+    let mut raw: Vec<(usize, u32, &'static str, String)> = Vec::new();
+    for (fi, file) in files.iter().enumerate() {
+        for (rule, line, message) in &file.lexical {
+            raw.push((fi, *line, rule, message.clone()));
+        }
+    }
+    for finding in rules::parsed_findings(files) {
+        raw.push((finding.file, finding.line, finding.rule, finding.message));
+    }
+
     let mut diagnostics = Vec::new();
     // (file index, allow-comment line, rule id) triples that suppressed at
     // least one finding.
     let mut used_allows: BTreeSet<(usize, u32, String)> = BTreeSet::new();
-
-    // Lexical findings.
-    for (fi, file) in files.iter().enumerate() {
-        for (rule_id, line, message) in &file.lexical {
-            let rule = rules::rule_by_id(rule_id).expect("lexical rules are registered");
-            if !scope_applies(rule.include, rule.exclude, &file.path) {
-                continue;
-            }
-            if file.side.in_test_region(*line) {
-                continue;
-            }
-            if let Some(allow_line) = file.side.allow_line_for(rule.id, *line) {
-                used_allows.insert((fi, allow_line, rule.id.to_owned()));
-                continue;
-            }
-            diagnostics.push(Diagnostic {
-                path: file.path.clone(),
-                line: *line,
-                rule: rule.id,
-                message: message.clone(),
-            });
-        }
-    }
-
-    // Semantic findings (workspace-wide analysis).
-    let entries: Vec<symbols::FileEntry> = files
-        .iter()
-        .map(|f| symbols::FileEntry {
-            path: f.path.clone(),
-            parsed: f.parsed.clone(),
-            test_regions: f.side.test_regions.clone(),
-        })
-        .collect();
-    let ws = symbols::Workspace::build(entries);
-    for finding in callgraph::analyze(&ws) {
-        let file = &files[finding.file];
-        let rule = rules::sem_rule_by_id(finding.rule).expect("semantic rules are registered");
-        if !scope_applies(rule.include, rule.exclude, &file.path) {
+    for (fi, line, rule, message) in raw {
+        let file = &files[fi];
+        let scope = rules::rule_by_id(rule).expect("every rule is registered");
+        if !scope_applies(scope.include, scope.exclude, &file.path)
+            || file.side.in_test_region(line)
+        {
             continue;
         }
-        if file.side.in_test_region(finding.line) {
-            continue;
-        }
-        if let Some(allow_line) = file.side.allow_line_for(rule.id, finding.line) {
-            used_allows.insert((finding.file, allow_line, rule.id.to_owned()));
+        if let Some(allow_line) = file.side.allow_line_for(rule, line) {
+            used_allows.insert((fi, allow_line, rule.to_owned()));
             continue;
         }
         diagnostics.push(Diagnostic {
             path: file.path.clone(),
-            line: finding.line,
-            rule: rule.id,
-            message: finding.message,
+            line,
+            rule,
+            message,
         });
     }
     diagnostics.sort();
@@ -245,24 +223,11 @@ pub fn report(files: &[AnalyzedFile]) -> Report {
     }
 }
 
-/// Lint a set of in-memory sources as one workspace (lexical + semantic
-/// rules). This is what the fixture tests drive.
-#[must_use]
-pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let files: Vec<AnalyzedFile> = sources
-        .iter()
-        .map(|(path, src)| analyze_source(path, src))
-        .collect();
-    report(&files).diagnostics
-}
-
-/// Lint one file's source as if it lived at workspace-relative `path`.
-///
-/// Semantic rules see a one-file workspace: cross-file reachability cannot
-/// fire, which is exactly right for single-file lexical fixtures.
+/// Lint one file's source as if it lived at workspace-relative `path`, as
+/// a one-file workspace. This is what the fixture tests drive.
 #[must_use]
 pub fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
-    lint_sources(&[(path, src)])
+    report(&[analyze_source(path, src)]).diagnostics
 }
 
 /// Lint every `.rs` file under `root`'s [`ROOTS`]: read and analyze each
@@ -342,10 +307,10 @@ mod tests {
 
     #[test]
     fn allow_comment_waives_a_line() {
-        let bad = "use std::collections::HashMap;\n";
+        let bad = "let t = Instant::now();\n";
         assert_eq!(lint_file("crates/sim/src/x.rs", bad).len(), 1);
         let allowed =
-            "// tnpu-lint: allow(hash-collections) — keys never iterated\nuse std::collections::HashMap;\n";
+            "// tnpu-lint: allow(wallclock) — stderr-only job timing\nlet t = Instant::now();\n";
         assert!(lint_file("crates/sim/src/x.rs", allowed).is_empty());
     }
 
@@ -359,15 +324,15 @@ mod tests {
 
     #[test]
     fn cfg_test_regions_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n  use std::collections::HashMap;\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n  use std::time::Instant;\n}\n";
         assert!(lint_file("crates/sim/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn test_dirs_are_exempt_for_exempting_rules() {
-        let src = "use std::collections::HashMap;";
+        let src = "use std::time::Instant;";
         assert!(lint_file("crates/sim/tests/x.rs", src).is_empty());
-        assert!(lint_file("examples/x.rs", src).is_empty());
+        assert!(lint_file("crates/sim/examples/x.rs", src).is_empty());
     }
 
     #[test]
@@ -390,15 +355,15 @@ mod tests {
 
     #[test]
     fn unused_allows_are_reported_and_used_ones_are_not() {
-        let src = "// tnpu-lint: allow(hash-collections) — used below\n\
-                   use std::collections::HashMap;\n\
-                   // tnpu-lint: allow(wallclock) — nothing here reads a clock\n\
+        let src = "// tnpu-lint: allow(wallclock) — used below\n\
+                   let t = Instant::now();\n\
+                   // tnpu-lint: allow(rng-seed-literal) — nothing here seeds an RNG\n\
                    let x = 1;\n";
         let files = vec![analyze_source("crates/sim/src/x.rs", src)];
         let rep = report(&files);
         assert!(rep.diagnostics.is_empty(), "{:?}", rep.diagnostics);
         assert_eq!(rep.unused_allows.len(), 1, "{:?}", rep.unused_allows);
         assert_eq!(rep.unused_allows[0].line, 3);
-        assert!(rep.unused_allows[0].message.contains("wallclock"));
+        assert!(rep.unused_allows[0].message.contains("rng-seed-literal"));
     }
 }

@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tnpu_lint::rules::{RULES, SEM_RULES};
+use tnpu_lint::rules::RULES;
 use tnpu_lint::{lint_root, sarif};
 
 fn main() -> ExitCode {
@@ -59,9 +59,6 @@ fn main() -> ExitCode {
         for rule in RULES {
             println!("{:<26} [{}] {}", rule.id, rule.family.label(), rule.summary);
         }
-        for rule in SEM_RULES {
-            println!("{:<26} [{}] {}", rule.id, rule.family.label(), rule.summary);
-        }
         return ExitCode::SUCCESS;
     }
 
@@ -85,7 +82,7 @@ fn main() -> ExitCode {
     }
 
     if shown.is_empty() {
-        eprintln!("tnpu-lint: clean ({} rules)", RULES.len() + SEM_RULES.len());
+        eprintln!("tnpu-lint: clean ({} rules)", RULES.len());
         ExitCode::SUCCESS
     } else {
         let files: std::collections::BTreeSet<&str> =

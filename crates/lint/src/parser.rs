@@ -4,94 +4,76 @@
 //! Same offline constraint as the lexer: no `syn`, no `proc-macro2` — the
 //! build container has no registry access, and the linter must build before
 //! anything else. The parser therefore recognises exactly the structure the
-//! semantic rules need, and nothing more:
+//! parse-based rules need, and nothing more:
 //!
-//! * **items** — `mod` nesting, `fn` definitions (free, inherent, trait
-//!   impl, trait default), `impl`/`trait` containers, `enum` declarations
-//!   with their variants, and `use` declarations including group imports,
-//!   glob imports, and `as` renames;
-//! * **call expressions** — path calls (`a::b::c(..)`, `helper(..)`,
-//!   turbofished), and method calls (`.m(..)`), attributed to the enclosing
-//!   function;
+//! * **items** — `mod` nesting, `fn` bodies (free, inherent, trait impl,
+//!   trait default), the `Self` type of `impl`/`trait` blocks, `enum`
+//!   declarations with their variants, and `use` declarations including
+//!   group imports, glob imports, and `as` renames;
 //! * **panic sites** — `.unwrap()`, `.expect(..)`, the `panic!` macro
 //!   family, and slice-index expressions (`buf[i]` can panic);
 //! * **pattern contexts** — `match` arms, `if let`/`while let`, plain `let`
 //!   destructuring, `for` patterns, and `matches!`, so an `Enum::Variant`
 //!   path can be classified as *consumed* (named in a pattern) versus
-//!   *constructed* (named in an expression).
+//!   *constructed* (named in an expression, called or not).
 //!
 //! The walker is deliberately tolerant: anything it does not understand is
 //! skipped token-by-token, so a parse never fails — it just yields fewer
-//! facts. The semantic rules are designed so that missing facts make them
+//! facts. The rules are designed so that missing facts make them
 //! *quieter*, never wrong about code that parses cleanly.
 
 use crate::lexer::{LexedFile, Tok, TokKind};
 
-/// Everything the semantic analyses need from one source file.
+/// Everything the parse-based rules need from one source file.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ParsedFile {
-    /// Function definitions (including trait-declaration signatures, which
-    /// carry no body but still name call-graph nodes).
-    pub fns: Vec<FnItem>,
     /// Enum declarations with their variants.
     pub enums: Vec<EnumItem>,
-    /// Flattened `use` declarations: one entry per imported leaf.
+    /// Flattened `use` declarations: one entry per imported leaf (globs
+    /// bind no name and are not recorded).
     pub uses: Vec<UseItem>,
     /// Multi-segment paths named in *pattern* position (match arms,
     /// `if let`, `matches!`, `let` destructuring) — consumption evidence.
     pub pattern_refs: Vec<PathRef>,
-    /// Multi-segment paths named in *expression* position that are not
-    /// calls (unit variants, struct-literal variants, associated consts) —
-    /// construction evidence.
+    /// Multi-segment paths named in *expression* position (unit variants,
+    /// struct-literal and tuple-variant constructions, calls, associated
+    /// consts) — construction evidence.
     pub expr_refs: Vec<PathRef>,
-}
-
-/// The impl/trait block a function or reference sits in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Container {
-    /// The `Self` type: `X` in `impl X`, `impl T for X`, or the trait name
-    /// for methods declared/defaulted inside `trait T { .. }`.
-    pub type_name: String,
-    /// `T` in `impl T for X` (last path segment); `None` for inherent
-    /// impls and trait declarations.
-    pub trait_name: Option<String>,
-}
-
-/// One function definition (or trait-method signature).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnItem {
-    /// Bare function name.
-    pub name: String,
-    /// Inline-module path within the file (`mod a { mod b { fn f } }` →
-    /// `["a", "b"]`); the file's own module path is prepended later by the
-    /// symbol table.
-    pub module: Vec<String>,
-    /// Enclosing impl/trait block, if any.
-    pub container: Option<Container>,
-    /// Whether the item is `pub` (methods in trait blocks count as pub:
-    /// their visibility is the trait's).
-    pub is_pub: bool,
-    /// Line of the `fn` keyword.
-    pub line: u32,
-    /// Line of the body's closing brace (or of the `;` for signatures).
-    pub end_line: u32,
-    /// Calls made from the body, in source order.
-    pub calls: Vec<CallSite>,
-    /// Panic-capable sites in the body, in source order.
+    /// Panic-capable sites in function bodies, in source order.
     pub panics: Vec<PanicSite>,
 }
 
-/// One call expression inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallSite {
-    /// 1-indexed line of the call.
-    pub line: u32,
-    /// Path segments as written (`["RawDram", "read_block"]`,
-    /// `["helper"]`); method calls carry their single bare name.
-    pub path: Vec<String>,
-    /// `true` for `.m(..)` receiver calls — the receiver's type is
-    /// unknown, so resolution is by name (documented over-approximation).
-    pub method: bool,
+impl ParsedFile {
+    /// Resolve a variant reference (`VErr::Exhausted`, `Self::Poisoned`)
+    /// to `(enum name, variant name)`: the second-to-last segment, with
+    /// `Self` or a `use` rename replaced by the name it stands for.
+    #[must_use]
+    pub fn resolve_variant_ref(&self, r: &PathRef) -> Option<(String, String)> {
+        let [.., head, variant] = r.path.as_slice() else {
+            return None;
+        };
+        let enum_name = if head == "Self" {
+            r.container.clone()?
+        } else {
+            self.imported_name(&r.module, head)
+                .unwrap_or(head)
+                .to_owned()
+        };
+        Some((enum_name, variant.clone()))
+    }
+
+    /// The item name a `use` binds to `alias` where inline module `module`
+    /// can see it; the innermost declaring module wins. A top-of-file
+    /// `use` is visible throughout the file — an over-approximation of
+    /// Rust's per-module scoping that errs towards resolving more.
+    fn imported_name(&self, module: &[String], alias: &str) -> Option<&str> {
+        self.uses
+            .iter()
+            .filter(|u| u.alias == alias && module.starts_with(&u.module))
+            .max_by_key(|u| u.module.len())
+            .and_then(|u| u.path.last())
+            .map(String::as_str)
+    }
 }
 
 /// What kind of panic a [`PanicSite`] is.
@@ -134,10 +116,6 @@ pub struct PanicSite {
 pub struct EnumItem {
     /// Enum name.
     pub name: String,
-    /// Inline-module path within the file.
-    pub module: Vec<String>,
-    /// Line of the `enum` keyword.
-    pub line: u32,
     /// `(variant name, line)` pairs in declaration order.
     pub variants: Vec<(String, u32)>,
 }
@@ -147,13 +125,10 @@ pub struct EnumItem {
 pub struct UseItem {
     /// Inline-module path of the `use` within the file.
     pub module: Vec<String>,
-    /// Full imported path (`["tnpu_memprot", "functional", "dram"]`).
+    /// Full imported path (`["tnpu_core", "version", "VersionError"]`).
     pub path: Vec<String>,
     /// Name the import binds locally (last segment, or the `as` rename).
-    /// Empty for glob imports.
     pub alias: String,
-    /// `use path::*;`.
-    pub glob: bool,
 }
 
 /// A multi-segment path reference with enough context to resolve it.
@@ -171,7 +146,7 @@ pub struct PathRef {
     pub container: Option<String>,
 }
 
-/// Parse a lexed file into items and call/pattern facts.
+/// Parse a lexed file into items and pattern/expression/panic facts.
 #[must_use]
 pub fn parse(lexed: &LexedFile) -> ParsedFile {
     let mut p = Parser {
@@ -180,7 +155,7 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
         out: ParsedFile::default(),
     };
     let mut module = Vec::new();
-    p.items(&mut module, None, false);
+    p.items(&mut module, None);
     p.out
 }
 
@@ -196,6 +171,26 @@ const KEYWORDS: &[&str] = &[
 /// deliberately absent: the workspace uses them as *loud invariant checks*
 /// the security argument depends on (e.g. `clamp_block` aliasing guards).
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+
+/// Where a function body sits: what every [`PathRef`] in it records.
+#[derive(Debug, Clone)]
+struct Scope {
+    /// Inline-module path within the file.
+    module: Vec<String>,
+    /// `Self` type of the enclosing impl/trait block.
+    container: Option<String>,
+}
+
+impl Scope {
+    fn path_ref(&self, line: u32, path: Vec<String>) -> PathRef {
+        PathRef {
+            line,
+            path,
+            module: self.module.clone(),
+            container: self.container.clone(),
+        }
+    }
+}
 
 struct Parser<'a> {
     toks: &'a [Tok],
@@ -318,15 +313,33 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skip a header (generics, supertraits, where-clause) up to its `{`
+    /// body, which is consumed; returns `false` at a `;` (consumed) or EOF.
+    fn skip_to_body(&mut self) -> bool {
+        while let Some(t) = self.peek() {
+            if t.is_punct("{") {
+                self.i += 1;
+                return true;
+            }
+            if t.is_punct(";") {
+                self.i += 1;
+                return false;
+            }
+            if t.is_punct("<") {
+                self.skip_angles();
+            } else if t.is_punct("(") || t.is_punct("[") {
+                self.skip_balanced(); // parameters, fn-pointer / array types
+            } else {
+                self.i += 1;
+            }
+        }
+        false
+    }
+
     /// Parse items until EOF or a `}` closing the enclosing block (the `}`
-    /// is consumed). `trait_scope` marks impl/trait-decl bodies, where
-    /// methods inherit the trait's visibility without a `pub` keyword.
-    fn items(
-        &mut self,
-        module: &mut Vec<String>,
-        container: Option<&Container>,
-        trait_scope: bool,
-    ) {
+    /// is consumed). `container` is the `Self` type of an enclosing
+    /// impl/trait body.
+    fn items(&mut self, module: &mut Vec<String>, container: Option<&str>) {
         loop {
             while self.skip_attr() {}
             let Some(t) = self.peek() else { return };
@@ -335,10 +348,8 @@ impl<'a> Parser<'a> {
                 return;
             }
             // Visibility + qualifiers.
-            let mut is_pub = trait_scope;
             loop {
                 if self.at_ident("pub") {
-                    is_pub = true;
                     self.i += 1;
                     if self.at_punct("(") {
                         self.skip_balanced(); // pub(crate) / pub(super)
@@ -360,61 +371,46 @@ impl<'a> Parser<'a> {
                 }
             }
             let Some(t) = self.peek() else { return };
+            if t.kind != TokKind::Ident {
+                self.i += 1; // unrecognised — advance one token (tolerant)
+                continue;
+            }
             match t.text.as_str() {
-                "mod" if t.kind == TokKind::Ident => {
+                "mod" => {
                     self.i += 1;
                     let name = self.bump().map(|t| t.text.clone()).unwrap_or_default();
                     if self.at_punct("{") {
                         self.i += 1;
                         module.push(name);
-                        self.items(module, container, trait_scope);
+                        self.items(module, container);
                         module.pop();
                     } else {
                         self.skip_to_semi();
                     }
                 }
-                "use" if t.kind == TokKind::Ident => {
+                "use" => {
                     self.i += 1;
                     let mut prefix = Vec::new();
                     self.use_tree(&mut prefix, module);
                     self.skip_to_semi();
                 }
-                "fn" if t.kind == TokKind::Ident => {
-                    self.parse_fn(module, container, is_pub);
+                "fn" => {
+                    let scope = Scope {
+                        module: module.clone(),
+                        container: container.map(str::to_owned),
+                    };
+                    self.parse_fn(&scope);
                 }
-                "enum" if t.kind == TokKind::Ident => {
-                    self.parse_enum(module);
-                }
-                "impl" if t.kind == TokKind::Ident => {
-                    self.parse_impl(module);
-                }
-                "trait" if t.kind == TokKind::Ident => {
+                "enum" => self.parse_enum(),
+                "impl" => self.parse_impl(module),
+                "trait" => {
                     self.i += 1;
                     let name = self.bump().map(|t| t.text.clone()).unwrap_or_default();
-                    // Generics / supertraits / where-clause up to the body.
-                    while let Some(t) = self.peek() {
-                        if t.is_punct("{") {
-                            break;
-                        }
-                        if t.is_punct("<") {
-                            self.skip_angles();
-                        } else if t.is_punct(";") {
-                            self.i += 1;
-                            break;
-                        } else {
-                            self.i += 1;
-                        }
-                    }
-                    if self.at_punct("{") {
-                        self.i += 1;
-                        let c = Container {
-                            type_name: name,
-                            trait_name: None,
-                        };
-                        self.items(module, Some(&c), true);
+                    if self.skip_to_body() {
+                        self.items(module, Some(&name));
                     }
                 }
-                "struct" | "union" if t.kind == TokKind::Ident => {
+                "struct" | "union" => {
                     self.i += 1;
                     while let Some(t) = self.peek() {
                         if t.is_punct(";") {
@@ -434,10 +430,8 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                "static" | "const" | "type" if t.kind == TokKind::Ident => {
-                    self.skip_to_semi();
-                }
-                "macro_rules" if t.kind == TokKind::Ident => {
+                "static" | "const" | "type" => self.skip_to_semi(),
+                "macro_rules" => {
                     self.i += 1; // name + `!` + body
                     while let Some(t) = self.peek() {
                         if t.is_punct("{") {
@@ -451,10 +445,7 @@ impl<'a> Parser<'a> {
                         self.i += 1;
                     }
                 }
-                _ => {
-                    // Unrecognised — advance one token (tolerant).
-                    self.i += 1;
-                }
+                _ => self.i += 1,
             }
         }
     }
@@ -464,13 +455,7 @@ impl<'a> Parser<'a> {
         loop {
             let Some(t) = self.peek() else { return };
             if t.is_punct("*") {
-                self.i += 1;
-                self.out.uses.push(UseItem {
-                    module: module.to_vec(),
-                    path: prefix.clone(),
-                    alias: String::new(),
-                    glob: true,
-                });
+                self.i += 1; // a glob binds no name of its own
                 return;
             }
             if t.is_punct("{") {
@@ -499,7 +484,6 @@ impl<'a> Parser<'a> {
                     module: module.to_vec(),
                     path: prefix.clone(),
                     alias: prefix.last().cloned().unwrap_or_default(),
-                    glob: false,
                 });
                 return;
             }
@@ -522,39 +506,23 @@ impl<'a> Parser<'a> {
                 module: module.to_vec(),
                 path: prefix.clone(),
                 alias,
-                glob: false,
             });
             return;
         }
     }
 
     /// Parse an enum declaration; cursor is on `enum`.
-    fn parse_enum(&mut self, module: &[String]) {
-        let line = self.peek().map_or(0, |t| t.line);
+    fn parse_enum(&mut self) {
         self.i += 1;
         let name = self.bump().map(|t| t.text.clone()).unwrap_or_default();
         let mut item = EnumItem {
             name,
-            module: module.to_vec(),
-            line,
             variants: Vec::new(),
         };
-        // Generics / where-clause up to the body.
-        while let Some(t) = self.peek() {
-            if t.is_punct("{") {
-                break;
-            }
-            if t.is_punct("<") {
-                self.skip_angles();
-            } else if t.is_punct(";") {
-                self.i += 1;
-                self.out.enums.push(item);
-                return;
-            } else {
-                self.i += 1;
-            }
+        if !self.skip_to_body() {
+            self.out.enums.push(item);
+            return;
         }
-        self.i += 1; // `{`
         loop {
             while self.skip_attr() {}
             let Some(t) = self.peek() else { break };
@@ -596,38 +564,13 @@ impl<'a> Parser<'a> {
             self.skip_angles();
         }
         // First path: either the Self type (inherent) or the trait.
-        let first = self.impl_path();
-        let container = if self.at_ident("for") {
+        let mut self_type = self.impl_path();
+        if self.at_ident("for") {
             self.i += 1;
-            let ty = self.impl_path();
-            Container {
-                type_name: ty,
-                trait_name: Some(first),
-            }
-        } else {
-            Container {
-                type_name: first,
-                trait_name: None,
-            }
-        };
-        // Where-clause up to the body.
-        while let Some(t) = self.peek() {
-            if t.is_punct("{") {
-                break;
-            }
-            if t.is_punct("<") {
-                self.skip_angles();
-            } else if t.is_punct(";") {
-                self.i += 1;
-                return;
-            } else {
-                self.i += 1;
-            }
+            self_type = self.impl_path();
         }
-        if self.at_punct("{") {
-            self.i += 1;
-            let trait_scope = container.trait_name.is_some();
-            self.items(module, Some(&container), trait_scope);
+        if self.skip_to_body() {
+            self.items(module, Some(&self_type));
         }
     }
 
@@ -661,57 +604,13 @@ impl<'a> Parser<'a> {
         last
     }
 
-    /// Parse a fn item; cursor is on `fn`.
-    fn parse_fn(&mut self, module: &[String], container: Option<&Container>, is_pub: bool) {
-        let line = self.peek().map_or(0, |t| t.line);
-        self.i += 1;
-        let name = self.bump().map(|t| t.text.clone()).unwrap_or_default();
-        let mut f = FnItem {
-            name,
-            module: module.to_vec(),
-            container: container.cloned(),
-            is_pub,
-            line,
-            end_line: line,
-            calls: Vec::new(),
-            panics: Vec::new(),
-        };
-        if self.at_punct("<") {
-            self.skip_angles();
+    /// Parse a fn item; cursor is on `fn`. A signature without a body
+    /// (trait declarations) yields nothing.
+    fn parse_fn(&mut self, scope: &Scope) {
+        self.i += 2; // `fn` and the name
+        if self.skip_to_body() {
+            self.expr_until_close(scope, "}");
         }
-        if self.at_punct("(") {
-            self.skip_balanced();
-        }
-        // Return type / where-clause up to the body or `;`.
-        loop {
-            let Some(t) = self.peek() else {
-                self.out.fns.push(f);
-                return;
-            };
-            if t.is_punct("{") {
-                break;
-            }
-            if t.is_punct(";") {
-                f.end_line = t.line;
-                self.i += 1;
-                self.out.fns.push(f);
-                return;
-            }
-            if t.is_punct("<") {
-                self.skip_angles();
-            } else if t.is_punct("(") || t.is_punct("[") {
-                self.skip_balanced(); // fn-pointer / array types
-            } else {
-                self.i += 1;
-            }
-        }
-        self.i += 1; // `{`
-        self.expr_until_close(&mut f, "}");
-        f.end_line = self
-            .toks
-            .get(self.i.saturating_sub(1))
-            .map_or(f.line, |t| t.line);
-        self.out.fns.push(f);
     }
 
     // ------------------------------------------------------------------
@@ -720,21 +619,21 @@ impl<'a> Parser<'a> {
 
     /// Scan expression content until the delimiter closing the group the
     /// cursor is inside (the closer is consumed).
-    fn expr_until_close(&mut self, f: &mut FnItem, close: &str) {
+    fn expr_until_close(&mut self, s: &Scope, close: &str) {
         loop {
             let Some(t) = self.peek() else { return };
             if t.is_punct(close) {
                 self.i += 1;
                 return;
             }
-            self.expr_step(f);
+            self.expr_step(s);
         }
     }
 
-    /// Process one expression construct at the cursor: a call path, a
-    /// method call, a panic site, a nested delimiter group, `match`,
-    /// `let`-pattern, or a single uninteresting token.
-    fn expr_step(&mut self, f: &mut FnItem) {
+    /// Process one expression construct at the cursor: a path, a panic
+    /// site, a nested delimiter group, `match`, `let`-pattern, or a single
+    /// uninteresting token.
+    fn expr_step(&mut self, s: &Scope) {
         let Some(t) = self.peek() else { return };
         if self.skip_attr() {
             return;
@@ -743,50 +642,39 @@ impl<'a> Parser<'a> {
             TokKind::Punct if t.text == "(" || t.text == "{" => {
                 self.i += 1;
                 let close = if t.text == "(" { ")" } else { "}" };
-                self.expr_until_close(f, close);
+                self.expr_until_close(s, close);
             }
             TokKind::Punct if t.text == "[" => {
                 // Index heuristic: `expr[..]` panics; `[1, 2]` / `&[u8]`
                 // / `vec![..]` do not (the previous token tells them
                 // apart).
                 if self.prev_is_indexable() {
-                    f.panics.push(PanicSite {
+                    self.out.panics.push(PanicSite {
                         line: t.line,
                         kind: PanicKind::Index,
                     });
                 }
                 self.i += 1;
-                self.expr_until_close(f, "]");
+                self.expr_until_close(s, "]");
             }
             TokKind::Punct if t.text == "." => {
                 self.i += 1;
                 let Some(n) = self.peek() else { return };
                 if n.kind != TokKind::Ident {
-                    return; // tuple field `.0`, `.await` handled below
+                    return; // tuple field `.0`
                 }
-                let name = n.text.clone();
-                let line = n.line;
                 self.i += 1;
                 if self.at_punct("::") && self.peek_at(1).is_some_and(|t| t.is_punct("<")) {
                     self.i += 1;
                     self.skip_angles(); // turbofish `.collect::<Vec<_>>()`
                 }
+                let kind = match n.text.as_str() {
+                    "unwrap" => PanicKind::Unwrap,
+                    "expect" => PanicKind::Expect,
+                    _ => return,
+                };
                 if self.at_punct("(") {
-                    match name.as_str() {
-                        "unwrap" => f.panics.push(PanicSite {
-                            line,
-                            kind: PanicKind::Unwrap,
-                        }),
-                        "expect" => f.panics.push(PanicSite {
-                            line,
-                            kind: PanicKind::Expect,
-                        }),
-                        _ => f.calls.push(CallSite {
-                            line,
-                            path: vec![name],
-                            method: true,
-                        }),
-                    }
+                    self.out.panics.push(PanicSite { line: n.line, kind });
                 }
                 // The `(..)` argument group is scanned by the main loop.
             }
@@ -795,22 +683,22 @@ impl<'a> Parser<'a> {
                 match text {
                     "match" => {
                         self.i += 1;
-                        self.scan_match(f);
+                        self.scan_match(s);
                     }
                     "if" | "while" => {
                         self.i += 1;
                         if self.at_ident("let") {
                             self.i += 1;
-                            self.scan_pattern_until(f, &["="]);
+                            self.scan_pattern_until(s, &["="]);
                         }
                     }
                     "for" => {
                         self.i += 1;
-                        self.scan_pattern_until(f, &["in"]);
+                        self.scan_pattern_until(s, &["in"]);
                     }
                     "let" => {
                         self.i += 1;
-                        let stop = self.scan_pattern_until(f, &["=", ";", ":"]);
+                        let stop = self.scan_pattern_until(s, &["=", ";", ":"]);
                         if stop.as_deref() == Some(":") {
                             // Type ascription: skip to `=` or `;`.
                             while let Some(t) = self.peek() {
@@ -828,21 +716,24 @@ impl<'a> Parser<'a> {
                         }
                     }
                     "fn" => {
-                        // Nested item fn: parse as its own node.
-                        let module = f.module.clone();
-                        self.parse_fn(&module, None, false);
+                        // Nested item fn: no `Self` of its own.
+                        let nested = Scope {
+                            module: s.module.clone(),
+                            container: None,
+                        };
+                        self.parse_fn(&nested);
                     }
                     _ if KEYWORDS.contains(&text) => {
                         self.i += 1;
                     }
                     "matches" if self.peek_at(1).is_some_and(|t| t.is_punct("!")) => {
                         self.i += 2;
-                        self.scan_matches_macro(f);
+                        self.scan_matches_macro(s);
                     }
                     _ if PANIC_MACROS.contains(&text)
                         && self.peek_at(1).is_some_and(|t| t.is_punct("!")) =>
                     {
-                        f.panics.push(PanicSite {
+                        self.out.panics.push(PanicSite {
                             line: t.line,
                             kind: PanicKind::Macro(text.to_owned()),
                         });
@@ -851,10 +742,10 @@ impl<'a> Parser<'a> {
                     _ if self.peek_at(1).is_some_and(|t| t.is_punct("!")) => {
                         // Other macro invocation: skip the name and bang;
                         // the argument tokens scan as plain expression
-                        // content (calls inside them are still recorded).
+                        // content.
                         self.i += 2;
                     }
-                    _ => self.scan_path_expr(f),
+                    _ => self.scan_path_expr(s),
                 }
             }
             _ => {
@@ -876,8 +767,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Collect an expression path starting at a non-keyword ident and
-    /// classify it: call, or multi-segment reference.
-    fn scan_path_expr(&mut self, f: &mut FnItem) {
+    /// record it if it has several segments.
+    fn scan_path_expr(&mut self, s: &Scope) {
         let line = self.peek().map_or(0, |t| t.line);
         let mut path = Vec::new();
         while let Some(t) = self.peek() {
@@ -901,27 +792,14 @@ impl<'a> Parser<'a> {
         }
         if path.is_empty() {
             self.i += 1;
-            return;
-        }
-        if self.at_punct("(") {
-            f.calls.push(CallSite {
-                line,
-                path,
-                method: false,
-            });
-            // Argument group scanned by the main loop.
         } else if path.len() >= 2 {
-            self.out.expr_refs.push(PathRef {
-                line,
-                path,
-                module: f.module.clone(),
-                container: f.container.as_ref().map(|c| c.type_name.clone()),
-            });
+            // Any argument group is scanned by the main loop.
+            self.out.expr_refs.push(s.path_ref(line, path));
         }
     }
 
     /// Scan a `match`: head expression, then the arm list.
-    fn scan_match(&mut self, f: &mut FnItem) {
+    fn scan_match(&mut self, s: &Scope) {
         // Head: expression until a `{` at this level (delimiters recurse,
         // so the body brace is the first `{` the loop sees directly).
         loop {
@@ -930,7 +808,7 @@ impl<'a> Parser<'a> {
                 self.i += 1;
                 break;
             }
-            self.expr_step(f);
+            self.expr_step(s);
         }
         // Arms.
         loop {
@@ -946,7 +824,7 @@ impl<'a> Parser<'a> {
             }
             // Pattern up to `=>` (or an `if` guard, whose condition is
             // expression content).
-            let stop = self.scan_pattern_until(f, &["=>", "if"]);
+            let stop = self.scan_pattern_until(s, &["=>", "if"]);
             if stop.as_deref() == Some("if") {
                 loop {
                     let Some(t) = self.peek() else { return };
@@ -954,14 +832,14 @@ impl<'a> Parser<'a> {
                         self.i += 1;
                         break;
                     }
-                    self.expr_step(f);
+                    self.expr_step(s);
                 }
             }
             // Arm body: a block, or an expression up to `,` / the closing
             // `}` of the match.
             if self.at_punct("{") {
                 self.i += 1;
-                self.expr_until_close(f, "}");
+                self.expr_until_close(s, "}");
             } else {
                 loop {
                     let Some(t) = self.peek() else { return };
@@ -972,7 +850,7 @@ impl<'a> Parser<'a> {
                     if t.is_punct("}") {
                         break; // match's own closer; outer loop consumes
                     }
-                    self.expr_step(f);
+                    self.expr_step(s);
                 }
             }
         }
@@ -980,14 +858,12 @@ impl<'a> Parser<'a> {
 
     /// Scan `matches!(expr, pattern)`: first argument as expression, the
     /// rest as pattern.
-    fn scan_matches_macro(&mut self, f: &mut FnItem) {
-        if !self.at_punct("(") && !self.at_punct("[") && !self.at_punct("{") {
-            return;
-        }
+    fn scan_matches_macro(&mut self, s: &Scope) {
         let close = match self.peek().map(|t| t.text.as_str()) {
             Some("(") => ")",
             Some("[") => "]",
-            _ => "}",
+            Some("{") => "}",
+            _ => return,
         };
         self.i += 1;
         // Scrutinee expression until the first `,` at this level.
@@ -1001,19 +877,12 @@ impl<'a> Parser<'a> {
                 self.i += 1;
                 return; // malformed; tolerate
             }
-            self.expr_step(f);
+            self.expr_step(s);
         }
-        let stop = self.scan_pattern_until(f, &[close, "if"]);
+        let stop = self.scan_pattern_until(s, &[close, "if"]);
         if stop.as_deref() == Some("if") {
             // Guard expression until the closer.
-            loop {
-                let Some(t) = self.peek() else { return };
-                if t.is_punct(close) {
-                    self.i += 1;
-                    return;
-                }
-                self.expr_step(f);
-            }
+            self.expr_until_close(s, close);
         }
     }
 
@@ -1021,7 +890,7 @@ impl<'a> Parser<'a> {
     /// references, until one of `stops` appears at delimiter depth 0
     /// (idents like `in`/`if` match identifier stops; punct stops match
     /// punctuation). The stop token is consumed; returns which stop fired.
-    fn scan_pattern_until(&mut self, f: &FnItem, stops: &[&str]) -> Option<String> {
+    fn scan_pattern_until(&mut self, s: &Scope, stops: &[&str]) -> Option<String> {
         let mut depth = 0i32;
         loop {
             let t = self.peek()?;
@@ -1056,12 +925,7 @@ impl<'a> Parser<'a> {
                         path.push(self.bump().map(|t| t.text.clone()).unwrap_or_default());
                     }
                     if path.len() >= 2 {
-                        self.out.pattern_refs.push(PathRef {
-                            line,
-                            path,
-                            module: f.module.clone(),
-                            container: f.container.as_ref().map(|c| c.type_name.clone()),
-                        });
+                        self.out.pattern_refs.push(s.path_ref(line, path));
                     }
                 }
                 _ => {
@@ -1081,85 +945,84 @@ mod tests {
         parse(&lex(src))
     }
 
-    fn fn_named<'a>(p: &'a ParsedFile, name: &str) -> &'a FnItem {
-        p.fns
-            .iter()
-            .find(|f| f.name == name)
-            .unwrap_or_else(|| panic!("fn {name} not parsed: {:?}", p.fns))
+    fn joined(refs: &[PathRef]) -> Vec<String> {
+        refs.iter().map(|r| r.path.join("::")).collect()
     }
 
     #[test]
     fn fns_modules_and_calls() {
         let p = parse_src(
-            "mod outer {\n  pub mod inner {\n    pub fn helper(x: u64) -> u64 { deeper(x) }\n    fn deeper(x: u64) -> u64 { x }\n  }\n}\nfn top() { outer::inner::helper(3); }\n",
+            "mod outer {\n  pub mod inner {\n    pub fn helper(x: u64) -> E { E::Made(x) }\n  }\n}\nfn top() { outer::inner::helper(3); }\n",
         );
-        let helper = fn_named(&p, "helper");
-        assert_eq!(helper.module, vec!["outer", "inner"]);
-        assert!(helper.is_pub);
-        assert_eq!(helper.calls.len(), 1);
-        assert_eq!(helper.calls[0].path, vec!["deeper"]);
-        let top = fn_named(&p, "top");
-        assert!(!top.is_pub);
-        assert_eq!(top.calls[0].path, vec!["outer", "inner", "helper"]);
+        let refs: Vec<_> = p
+            .expr_refs
+            .iter()
+            .map(|r| (r.path.join("::"), r.module.clone(), r.line))
+            .collect();
+        assert_eq!(
+            refs,
+            vec![
+                (
+                    "E::Made".to_owned(),
+                    vec!["outer".to_owned(), "inner".to_owned()],
+                    3
+                ),
+                ("outer::inner::helper".to_owned(), vec![], 6),
+            ]
+        );
     }
 
     #[test]
     fn impl_blocks_and_method_calls() {
         let p = parse_src(
-            "struct Runner;\nimpl Runner {\n  pub fn go(&mut self) { self.step(); RawDram::new(); }\n}\nimpl Drop for Runner {\n  fn drop(&mut self) {}\n}\n",
+            "struct Runner;\nimpl Runner {\n  pub fn go(&mut self) { self.step(); RawDram::new(); }\n}\nimpl Drop for Runner {\n  fn drop(&mut self) { Self::release(self); }\n}\n",
         );
-        let go = fn_named(&p, "go");
-        let c = go.container.as_ref().expect("container");
-        assert_eq!(c.type_name, "Runner");
-        assert_eq!(c.trait_name, None);
-        assert!(go.is_pub);
-        let calls: Vec<_> = go
-            .calls
+        // A method call names no path: only the two path calls are refs,
+        // each carrying its impl block's `Self` type, trait impl or not.
+        let refs: Vec<_> = p
+            .expr_refs
             .iter()
-            .map(|c| (c.path.clone(), c.method))
+            .map(|r| (r.path.join("::"), r.container.as_deref(), r.line))
             .collect();
         assert_eq!(
-            calls,
+            refs,
             vec![
-                (vec!["step".to_owned()], true),
-                (vec!["RawDram".to_owned(), "new".to_owned()], false)
+                ("RawDram::new".to_owned(), Some("Runner"), 3),
+                ("Self::release".to_owned(), Some("Runner"), 6),
             ]
         );
-        let drop = fn_named(&p, "drop");
-        let c = drop.container.as_ref().expect("container");
-        assert_eq!(c.type_name, "Runner");
-        assert_eq!(c.trait_name.as_deref(), Some("Drop"));
     }
 
     #[test]
     fn generic_impl_headers_resolve_the_self_type() {
         let p = parse_src(
-            "impl<M: FunctionalMemory> SecureRunner<M> {\n  fn tick(&self) {}\n}\nimpl tnpu_memprot::ProtectionEngine for TreelessEngine {\n  fn scheme(&self) {}\n}\n",
+            "impl<M: FunctionalMemory> SecureRunner<M> {\n  fn tick(&self) { Self::Idle; }\n}\nimpl tnpu_memprot::ProtectionEngine for TreelessEngine {\n  fn scheme(&self) { Self::Treeless; }\n}\n",
         );
-        let tick = fn_named(&p, "tick");
-        assert_eq!(tick.container.as_ref().unwrap().type_name, "SecureRunner");
-        let scheme = fn_named(&p, "scheme");
-        let c = scheme.container.as_ref().unwrap();
-        assert_eq!(c.type_name, "TreelessEngine");
-        assert_eq!(c.trait_name.as_deref(), Some("ProtectionEngine"));
+        let containers: Vec<_> = p.expr_refs.iter().map(|r| r.container.as_deref()).collect();
+        assert_eq!(
+            containers,
+            vec![Some("SecureRunner"), Some("TreelessEngine")]
+        );
     }
 
     #[test]
     fn trait_decl_default_methods_belong_to_the_trait() {
         let p = parse_src(
-            "pub trait ProtectionEngine: Send {\n  fn read_block(&mut self, a: u64);\n  fn read_run(&mut self, r: Run) { self.read_block(r.base()); }\n}\n",
+            "pub trait ProtectionEngine: Send {\n  fn read_block(&mut self, a: u64);\n  fn read_run(&mut self, r: Run) -> u64 { Self::BLOCK * r.len() }\n}\nfn after() { Kind::Free; }\n",
         );
-        let sig = fn_named(&p, "read_block");
+        let refs: Vec<_> = p
+            .expr_refs
+            .iter()
+            .map(|r| (r.path.join("::"), r.container.as_deref()))
+            .collect();
         assert_eq!(
-            sig.container.as_ref().unwrap().type_name,
-            "ProtectionEngine"
+            refs,
+            vec![
+                ("Self::BLOCK".to_owned(), Some("ProtectionEngine")),
+                ("Kind::Free".to_owned(), None),
+            ],
+            "a bodiless signature does not swallow the default method or the trait's end"
         );
-        assert!(sig.is_pub, "trait methods inherit the trait's visibility");
-        assert!(sig.calls.is_empty());
-        let dflt = fn_named(&p, "read_run");
-        let calls: Vec<_> = dflt.calls.iter().map(|c| c.path.join("::")).collect();
-        assert_eq!(calls, vec!["read_block", "base"]);
-        assert!(dflt.calls.iter().all(|c| c.method));
     }
 
     #[test]
@@ -1179,9 +1042,8 @@ mod tests {
             vec!["tnpu_core", "version", "VersionError"]
         );
         assert_eq!(find("VersionTable").path, vec!["tnpu_core", "VersionTable"]);
-        let glob = p.uses.iter().find(|u| u.glob).expect("glob import");
-        assert_eq!(glob.path, vec!["tnpu_sim"]);
         assert_eq!(find("helper").module, vec!["m"]);
+        assert_eq!(p.uses.len(), 4, "a glob binds no name: {:?}", p.uses);
     }
 
     #[test]
@@ -1203,8 +1065,7 @@ mod tests {
         let p = parse_src(
             "fn f(v: &[u8], m: &M) -> u8 {\n  let a = m.get(0).unwrap();\n  let b = m.get(1).expect(\"msg\");\n  if v.is_empty() { panic!(\"empty\"); }\n  let c = v[2];\n  let d = [1u8, 2];\n  let e = &v[..1];\n  a + b + c + d[0] + e[0]\n}\n",
         );
-        let f = fn_named(&p, "f");
-        let kinds: Vec<_> = f.panics.iter().map(|s| (s.line, s.kind.clone())).collect();
+        let kinds: Vec<_> = p.panics.iter().map(|s| (s.line, s.kind.clone())).collect();
         assert_eq!(
             kinds,
             vec![
@@ -1224,46 +1085,42 @@ mod tests {
         let p = parse_src(
             "fn f() {\n  let a: [u8; 4] = [0; 4];\n  let v = vec![1, 2];\n  let s: &[u8] = &a;\n  let m = Measurement { bytes: [0u8; 32] };\n  g(s, v, m);\n}\n",
         );
-        let f = fn_named(&p, "f");
         assert!(
-            f.panics.is_empty(),
+            p.panics.is_empty(),
             "no index panics expected: {:?}",
-            f.panics
+            p.panics
         );
     }
 
     #[test]
     fn match_arms_are_pattern_context() {
         let p = parse_src(
-            "fn f(e: VersionError) -> u32 {\n  match e {\n    VersionError::Exhausted(t) => handle(t),\n    VersionError::NoSuchTile { tensor, .. } if tensor.0 > guard_fn() => 1,\n    _ => fallback(),\n  }\n}\n",
+            "fn f(e: VersionError) -> u32 {\n  match e {\n    VersionError::Exhausted(t) => Verdict::Handled(t),\n    VersionError::NoSuchTile { tensor, .. } if tensor.0 > Limits::TILE => 1,\n    _ => Verdict::Fallback,\n  }\n}\n",
         );
-        let pats: Vec<_> = p.pattern_refs.iter().map(|r| r.path.join("::")).collect();
         assert_eq!(
-            pats,
+            joined(&p.pattern_refs),
             vec!["VersionError::Exhausted", "VersionError::NoSuchTile"]
         );
-        let f = fn_named(&p, "f");
-        let calls: Vec<_> = f.calls.iter().map(|c| c.path.join("::")).collect();
-        // handle (arm body), guard_fn (guard), fallback (arm body) are all
-        // expression context — and the scrutinee is too.
-        assert_eq!(calls, vec!["handle", "guard_fn", "fallback"]);
+        // Arm bodies and guards are expression context.
+        assert_eq!(
+            joined(&p.expr_refs),
+            vec!["Verdict::Handled", "Limits::TILE", "Verdict::Fallback"]
+        );
     }
 
     #[test]
     fn if_let_while_let_matches_and_let_destructuring() {
         let p = parse_src(
-            "fn f(r: Res) {\n  if let Err(RunError::Poisoned) = check(r) { recover(); }\n  while let Some(x) = iter.next() { use_it(x); }\n  let hit = matches!(classify(r), RunError::Finished | RunError::Cpu(_));\n  let Wrapper(inner) = r;\n}\n",
+            "fn f(r: Res) {\n  if let Err(RunError::Poisoned) = Check::run(r) { Recover::now(); }\n  while let Some(x) = iter.next() { use_it(x); }\n  let hit = matches!(Classify::of(r), RunError::Finished | RunError::Cpu(_));\n  let Wrapper(inner) = r;\n}\n",
         );
-        let pats: Vec<_> = p.pattern_refs.iter().map(|r| r.path.join("::")).collect();
         assert_eq!(
-            pats,
+            joined(&p.pattern_refs),
             vec!["RunError::Poisoned", "RunError::Finished", "RunError::Cpu"]
         );
-        let f = fn_named(&p, "f");
-        let calls: Vec<_> = f.calls.iter().map(|c| c.path.join("::")).collect();
-        assert!(calls.contains(&"check".to_owned()));
-        assert!(calls.contains(&"classify".to_owned()));
-        assert!(calls.contains(&"recover".to_owned()));
+        assert_eq!(
+            joined(&p.expr_refs),
+            vec!["Check::run", "Recover::now", "Classify::of"]
+        );
     }
 
     #[test]
@@ -1271,14 +1128,16 @@ mod tests {
         let p = parse_src(
             "fn f() -> RunError {\n  log(RunError::Poisoned);\n  VersionError::Exhausted(t);\n  Err(SessionError::DeadContext(id))?;\n  RunError::Finished\n}\n",
         );
-        let exprs: Vec<_> = p.expr_refs.iter().map(|r| r.path.join("::")).collect();
-        assert!(exprs.contains(&"RunError::Poisoned".to_owned()));
-        assert!(exprs.contains(&"RunError::Finished".to_owned()));
-        // Tuple-variant constructions surface as calls instead.
-        let f = fn_named(&p, "f");
-        let calls: Vec<_> = f.calls.iter().map(|c| c.path.join("::")).collect();
-        assert!(calls.contains(&"VersionError::Exhausted".to_owned()));
-        assert!(calls.contains(&"SessionError::DeadContext".to_owned()));
+        // Unit, tuple and nested constructions alike.
+        assert_eq!(
+            joined(&p.expr_refs),
+            vec![
+                "RunError::Poisoned",
+                "VersionError::Exhausted",
+                "SessionError::DeadContext",
+                "RunError::Finished"
+            ]
+        );
     }
 
     #[test]
@@ -1292,29 +1151,53 @@ mod tests {
     #[test]
     fn turbofish_calls_and_nested_fns() {
         let p = parse_src(
-            "fn f() {\n  let v = Vec::<u8>::new();\n  let n = usize::try_from(x).expect(\"fits\");\n  fn nested() { inner_call(); }\n}\n",
+            "impl S {\n  fn f() {\n    let v = Vec::<u8>::new();\n    let n = usize::try_from(x).expect(\"fits\");\n    fn nested() { Inner::call(); }\n  }\n}\n",
         );
-        let f = fn_named(&p, "f");
-        assert!(f
-            .calls
+        let refs: Vec<_> = p
+            .expr_refs
             .iter()
-            .any(|c| c.path == vec!["usize".to_owned(), "try_from".to_owned()]));
-        assert_eq!(f.panics.len(), 1, "the expect: {:?}", f.panics);
-        let nested = fn_named(&p, "nested");
-        assert_eq!(nested.calls[0].path, vec!["inner_call"]);
+            .map(|r| (r.path.join("::"), r.container.as_deref()))
+            .collect();
+        assert_eq!(
+            refs,
+            vec![
+                ("usize::try_from".to_owned(), Some("S")),
+                ("Inner::call".to_owned(), None),
+            ],
+            "a nested fn has no `Self` of its own"
+        );
+        assert_eq!(p.panics.len(), 1, "the expect: {:?}", p.panics);
     }
 
     #[test]
     fn match_head_calls_are_recorded() {
         let p = parse_src(
-            "fn f(t: T) -> u32 {\n  match self.table.version(t) {\n    Ok(v) => v,\n    Err(e) => match nested(e) { _ => 0 },\n  }\n}\n",
+            "fn f(t: T) -> u32 {\n  match Table::version(t) {\n    Ok(v) => v,\n    Err(e) => match Nested::of(e) { _ => 0 },\n  }\n}\n",
         );
-        let f = fn_named(&p, "f");
-        let calls: Vec<_> = f.calls.iter().map(|c| c.path.join("::")).collect();
-        assert!(calls.contains(&"version".to_owned()), "head: {calls:?}");
-        assert!(
-            calls.contains(&"nested".to_owned()),
-            "nested head: {calls:?}"
+        assert_eq!(joined(&p.expr_refs), vec!["Table::version", "Nested::of"]);
+    }
+
+    #[test]
+    fn variant_refs_resolve_through_renames_and_self() {
+        let p = parse_src(
+            "use tnpu_core::version::VersionError as VErr;\nmod m {\n  use crate::run::RunError as R;\n  fn inside() { R::Finished; }\n}\nimpl SessionError {\n  fn f(e: VErr) { match e { VErr::Exhausted => {} } }\n  fn g() -> Self { Self::Dead }\n}\nfn h() { R::Finished; }\n",
+        );
+        let resolved: Vec<_> = p
+            .pattern_refs
+            .iter()
+            .chain(&p.expr_refs)
+            .map(|r| p.resolve_variant_ref(r))
+            .collect();
+        let pair = |e: &str, v: &str| Some((e.to_owned(), v.to_owned()));
+        assert_eq!(
+            resolved,
+            vec![
+                pair("VersionError", "Exhausted"),
+                pair("RunError", "Finished"),
+                pair("SessionError", "Dead"),
+                // `R` is imported only inside `mod m`.
+                pair("R", "Finished"),
+            ]
         );
     }
 }

@@ -1,25 +1,33 @@
-//! The domain rules and their token-pattern checks.
+//! The domain rules and their checks.
 //!
-//! Three families, mirroring the invariants the workspace depends on:
+//! Four families, mirroring the invariants the workspace depends on:
 //!
 //! * **determinism** — the PR 2 guarantee that a sweep is byte-identical at
-//!   any thread count holds only if nothing order-dependent, clock-dependent,
-//!   or environment-dependent reaches a result;
-//! * **unit-safety** — cycle and byte accounting must not silently truncate
-//!   or wrap;
-//! * **security** — the paper's threat model (no DRAM path around the
-//!   protection engine, version state owned by the version manager) is a
-//!   hardware property in MGX/GuardNN. Here the compiler enforces the
-//!   first half (the raw DRAM store is private to `tnpu-memprot`, so only
-//!   the `FunctionalMemory` trait reaches it) and tooling the rest.
+//!   any thread count holds only if nothing clock-dependent or
+//!   environment-dependent reaches a result;
+//! * **unit-safety** — cycle and byte accounting must not silently wrap;
+//! * **security** — version state owned by the version manager. The rest
+//!   of the paper's threat model is the compiler's: the raw DRAM store is
+//!   private to `tnpu-memprot`, and the root `clippy.toml` bans every
+//!   `RawDram` method outside the functional memories;
+//! * **robustness** — panics and error variants in the session core.
 //!
-//! Every rule is a token-pattern scan over [`LexedFile`] — deliberately
-//! simple, so the linter stays dependency-free and auditable. Each rule's
-//! path scope is compiled in here (`tests/workspace.rs` checks that every
-//! scope path exists), and `// tnpu-lint: allow(rule-id)` on (or directly
-//! above) a line waives that line with an in-code justification.
+//! Rules that clippy states with type information live in `clippy.toml`
+//! and the crate roots instead (`LINTS.md` maps each retired rule to its
+//! replacement). What is left here needs a path scope or workspace-wide
+//! evidence that clippy has no setting for.
+//!
+//! Four rules are token-pattern scans over one [`LexedFile`]; the
+//! parse-based two read the item-level
+//! [`ParsedFile`](crate::parser::ParsedFile)s instead. Each rule's path
+//! scope is compiled in [`RULES`] (`tests/workspace.rs` checks that every scope
+//! path exists), and `// tnpu-lint: allow(rule-id)` on (or directly above)
+//! a line waives that line with an in-code justification.
 
 use crate::lexer::{LexedFile, TokKind};
+use crate::parser::PathRef;
+use crate::AnalyzedFile;
+use std::collections::BTreeSet;
 
 /// One diagnostic produced by a rule, before path/allow filtering.
 #[derive(Debug)]
@@ -35,11 +43,11 @@ pub struct Finding {
 pub enum Family {
     /// Byte-identical-sweep hazards.
     Determinism,
-    /// Narrowing/overflow hazards in accounting.
+    /// Overflow hazards in accounting.
     UnitSafety,
     /// Threat-model invariants.
     Security,
-    /// Panic/error-handling hazards on the public API surface.
+    /// Panic/error-handling hazards in the session core.
     Robustness,
 }
 
@@ -56,9 +64,20 @@ impl Family {
     }
 }
 
-/// A lint rule: scope defaults plus a token-pattern check. Every rule,
-/// lexical or semantic, skips `#[cfg(test)]` regions and `tests/`,
-/// `benches/`, `examples/` and `fixtures/` directories.
+/// How a rule finds its raw findings.
+#[derive(Clone, Copy)]
+pub enum Check {
+    /// A token-pattern scan of one lexed file.
+    Tokens(fn(&LexedFile) -> Vec<Finding>),
+    /// Run by [`parsed_findings`] over every parsed file.
+    Parsed,
+}
+
+/// A lint rule: scope defaults plus its check. Every rule skips
+/// `#[cfg(test)]` regions and `tests/`, `benches/`, `examples/` and
+/// `fixtures/` directories. The scope controls where *findings* are
+/// reported; `error-variant-consumption` gathers its evidence
+/// (constructions and matches) from the whole workspace.
 pub struct Rule {
     /// Kebab-case id used in diagnostics and allow comments.
     pub id: &'static str,
@@ -71,13 +90,13 @@ pub struct Rule {
     pub include: &'static [&'static str],
     /// Path prefixes exempt from the rule.
     pub exclude: &'static [&'static str],
-    /// The check itself. Receives the lexed file; returns raw findings
-    /// (filtered by path scope and allow comments afterwards).
-    pub check: fn(&LexedFile) -> Vec<Finding>,
+    /// The check itself; its raw findings are filtered by path scope and
+    /// allow comments afterwards.
+    pub check: Check,
 }
 
-/// Crates whose computation feeds printed results; the determinism rules
-/// default to this scope.
+/// Crates whose computation feeds printed results: the `rng-seed-literal`
+/// scope.
 const RESULT_CRATES: &[&str] = &[
     "crates/sim",
     "crates/memprot",
@@ -113,23 +132,15 @@ const ACCOUNTING_FILES: &[&str] = &[
     "crates/core/src/recovery.rs",
 ];
 
-/// All rules, in the order diagnostics list them.
+/// All rules, in the order `--list-rules` lists them.
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "hash-collections",
-        family: Family::Determinism,
-        summary: "HashMap/HashSet in result-feeding crates (iteration order is nondeterministic)",
-        include: RESULT_CRATES,
-        exclude: &[],
-        check: check_hash_collections,
-    },
     Rule {
         id: "wallclock",
         family: Family::Determinism,
         summary: "Instant/SystemTime/std::env inside simulation paths",
         include: SIMULATION_CRATES,
         exclude: &[],
-        check: check_wallclock,
+        check: Check::Tokens(check_wallclock),
     },
     Rule {
         id: "rng-seed-literal",
@@ -137,15 +148,7 @@ pub const RULES: &[Rule] = &[
         summary: "RNG constructed from a hard-coded literal seed instead of the RunSpec derivation",
         include: RESULT_CRATES,
         exclude: &["crates/sim/src/rng.rs"],
-        check: check_rng_seed_literal,
-    },
-    Rule {
-        id: "narrowing-cast",
-        family: Family::UnitSafety,
-        summary: "narrowing `as` cast in cycle/byte code (silent truncation)",
-        include: &["crates/sim", "crates/npu"],
-        exclude: &[],
-        check: check_narrowing_cast,
+        check: Check::Tokens(check_rng_seed_literal),
     },
     Rule {
         id: "unchecked-arith",
@@ -153,15 +156,7 @@ pub const RULES: &[Rule] = &[
         summary: "bare +/* in accounting modules (overflow wraps in release builds)",
         include: ACCOUNTING_FILES,
         exclude: &[],
-        check: check_unchecked_arith,
-    },
-    Rule {
-        id: "float-accumulation",
-        family: Family::Determinism,
-        summary: "float accumulation over map iteration order",
-        include: RESULT_CRATES,
-        exclude: &[],
-        check: check_float_accumulation,
+        check: Check::Tokens(check_unchecked_arith),
     },
     Rule {
         id: "version-table-scope",
@@ -169,64 +164,29 @@ pub const RULES: &[Rule] = &[
         summary: "VersionTable handled outside the version-manager crate",
         include: &[],
         exclude: &["crates/core"],
-        check: check_version_table_scope,
+        check: Check::Tokens(check_version_table_scope),
     },
-];
-
-/// A semantic (call-graph) rule: scoping metadata only — the checks run
-/// workspace-wide in [`callgraph`](crate::callgraph), because they need
-/// every file's parse, not one file's tokens. The include/exclude scope
-/// controls where *findings* are reported; evidence (calls, constructions,
-/// matches) is always gathered from the whole workspace.
-pub struct SemRule {
-    /// Kebab-case id used in diagnostics and allow comments.
-    pub id: &'static str,
-    /// Rule family.
-    pub family: Family,
-    /// One-line description for `--list-rules`.
-    pub summary: &'static str,
-    /// Path scope findings are reported in. Empty = everywhere.
-    pub include: &'static [&'static str],
-    /// Path prefixes exempt from the rule.
-    pub exclude: &'static [&'static str],
-}
-
-/// The semantic rule families (see `LINTS.md` for the full semantics).
-pub const SEM_RULES: &[SemRule] = &[
-    SemRule {
-        id: "engine-bypass",
-        family: Family::Security,
-        summary: "call chain from outside crates/memprot reaches functional::dram \
-                  without traversing a protection engine",
-        include: &[],
-        // Code inside memprot is the protection implementation itself;
-        // the rule reports the call sites that cross into it.
-        exclude: &["crates/memprot"],
-    },
-    SemRule {
+    Rule {
         id: "panic-path",
         family: Family::Robustness,
-        summary: "unwrap/expect/panic!/indexing reachable from the public \
-                  Session/SecureNpuSession/serving API surface",
+        summary: "unwrap/expect/panic!/indexing in the non-test session core",
         include: &["crates/core", "crates/tee"],
         // The attack harness and the serving driver are experiment code,
         // not the security core: their panics are the assertion mechanism
         // (an attack cell that reaches an impossible state must abort the
         // experiment loudly, and the serving simulator's scheduler
-        // invariants are checked the same way). The exclusion only filters
-        // findings located in the two files: their pub fns still act as
-        // reachability roots, so every panic they can reach inside
-        // context/secure_runner/version/tee stays audited and must carry
-        // its own justification.
+        // invariants are checked the same way).
         exclude: &["crates/core/src/attacks.rs", "crates/core/src/serving.rs"],
+        check: Check::Parsed,
     },
-    SemRule {
+    Rule {
         id: "error-variant-consumption",
         family: Family::Robustness,
         summary: "error-enum variant not both constructed and matched/handled \
                   in non-test code",
         include: &[],
         exclude: &[],
+        check: Check::Parsed,
     },
 ];
 
@@ -242,28 +202,6 @@ pub const AUDITED_ERROR_ENUMS: &[&str] =
 #[must_use]
 pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
-}
-
-/// Look up a semantic rule by id.
-#[must_use]
-pub fn sem_rule_by_id(id: &str) -> Option<&'static SemRule> {
-    SEM_RULES.iter().find(|r| r.id == id)
-}
-
-fn check_hash_collections(lexed: &LexedFile) -> Vec<Finding> {
-    lexed
-        .tokens
-        .iter()
-        .filter(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
-        .map(|t| Finding {
-            line: t.line,
-            message: format!(
-                "{} iterates in a nondeterministic order that can leak into results; \
-                 use BTreeMap/BTreeSet or sort before iterating",
-                t.text
-            ),
-        })
-        .collect()
 }
 
 fn check_wallclock(lexed: &LexedFile) -> Vec<Finding> {
@@ -317,32 +255,6 @@ fn check_rng_seed_literal(lexed: &LexedFile) -> Vec<Finding> {
     out
 }
 
-/// Integer types an `as` cast may truncate into. `u64`/`u128`/`i64`/`i128`
-/// are deliberately absent: casts *up* to them are the common widening idiom.
-const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "usize", "i8", "i16", "i32"];
-
-fn check_narrowing_cast(lexed: &LexedFile) -> Vec<Finding> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len().saturating_sub(1) {
-        if toks[i].is_ident("as")
-            && toks[i + 1].kind == TokKind::Ident
-            && NARROW_TYPES.contains(&toks[i + 1].text.as_str())
-        {
-            out.push(Finding {
-                line: toks[i].line,
-                message: format!(
-                    "`as {}` silently truncates out-of-range values; use \
-                     `{}::try_from(..).expect(..)` (or restructure to avoid the narrowing)",
-                    toks[i + 1].text,
-                    toks[i + 1].text
-                ),
-            });
-        }
-    }
-    out
-}
-
 fn check_unchecked_arith(lexed: &LexedFile) -> Vec<Finding> {
     let toks = &lexed.tokens;
     let mut out = Vec::new();
@@ -371,32 +283,6 @@ fn check_unchecked_arith(lexed: &LexedFile) -> Vec<Finding> {
     out
 }
 
-fn check_float_accumulation(lexed: &LexedFile) -> Vec<Finding> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len().saturating_sub(2) {
-        let map_iter = (toks[i].is_ident("values") || toks[i].is_ident("keys"))
-            && toks[i + 1].is_punct("(")
-            && toks[i + 2].is_punct(")");
-        if !map_iter {
-            continue;
-        }
-        let reduces = toks[i + 3..]
-            .iter()
-            .take(10)
-            .any(|t| t.is_ident("sum") || t.is_ident("fold") || t.is_ident("product"));
-        if reduces {
-            out.push(Finding {
-                line: toks[i].line,
-                message: "accumulation over map iteration order; float reduction order changes \
-                          the result — collect and sort (or iterate a BTreeMap) first"
-                    .to_owned(),
-            });
-        }
-    }
-    out
-}
-
 fn check_version_table_scope(lexed: &LexedFile) -> Vec<Finding> {
     lexed
         .tokens
@@ -412,20 +298,136 @@ fn check_version_table_scope(lexed: &LexedFile) -> Vec<Finding> {
         .collect()
 }
 
+/// One parse-based finding, before scope/allow filtering.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SemFinding {
+    /// Index into the linted files.
+    pub file: usize,
+    /// 1-indexed line.
+    pub line: u32,
+    /// Rule id.
+    pub rule: &'static str,
+    /// Message.
+    pub message: String,
+}
+
+/// Run the parse-based rules over every file.
+#[must_use]
+pub fn parsed_findings(files: &[AnalyzedFile]) -> Vec<SemFinding> {
+    let mut out = panic_path(files);
+    out.extend(variant_consumption(files));
+    out
+}
+
+/// `panic-path`: every panic-capable site, wherever it sits; the rule's
+/// scope and the allow comments decide which ones are reported.
+fn panic_path(files: &[AnalyzedFile]) -> Vec<SemFinding> {
+    let mut out = Vec::new();
+    for (fi, file) in files.iter().enumerate() {
+        for p in &file.parsed.panics {
+            out.push(SemFinding {
+                file: fi,
+                line: p.line,
+                rule: "panic-path",
+                message: format!(
+                    "{} in the session core can abort a caller on malformed input; return \
+                     a typed error instead, or justify the invariant with an allow comment",
+                    p.kind.label()
+                ),
+            });
+        }
+    }
+    out
+}
+
+/// `error-variant-consumption`: every audited variant must be constructed
+/// and matched in non-test code.
+fn variant_consumption(files: &[AnalyzedFile]) -> Vec<SemFinding> {
+    let mut constructed: BTreeSet<(String, String)> = BTreeSet::new();
+    let mut consumed: BTreeSet<(String, String)> = BTreeSet::new();
+    for file in files {
+        let evidence = |r: &PathRef| {
+            if crate::in_test_dir(&file.path) || file.side.in_test_region(r.line) {
+                None
+            } else {
+                file.parsed.resolve_variant_ref(r)
+            }
+        };
+        constructed.extend(file.parsed.expr_refs.iter().filter_map(evidence));
+        for r in &file.parsed.pattern_refs {
+            // An enum's own impl blocks (Display, From) match every variant
+            // by construction; handling means a consumer outside the enum.
+            match evidence(r) {
+                Some(key) if r.container.as_deref() != Some(key.0.as_str()) => {
+                    consumed.insert(key);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let mut out = Vec::new();
+    for (fi, file) in files.iter().enumerate() {
+        if crate::in_test_dir(&file.path) {
+            continue;
+        }
+        for def in &file.parsed.enums {
+            if !AUDITED_ERROR_ENUMS.contains(&def.name.as_str()) {
+                continue;
+            }
+            for (variant, line) in &def.variants {
+                let key = (def.name.clone(), variant.clone());
+                let message = if !constructed.contains(&key) {
+                    format!(
+                        "variant `{}::{variant}` is never constructed in non-test code; \
+                         remove it or wire it into the error path",
+                        def.name
+                    )
+                } else if !consumed.contains(&key) {
+                    format!(
+                        "variant `{}::{variant}` is constructed but never matched/handled \
+                         in non-test code outside its own impls; add a consumer (match arm, \
+                         `if let`, or `matches!`) or remove the construction",
+                        def.name
+                    )
+                } else {
+                    continue;
+                };
+                out.push(SemFinding {
+                    file: fi,
+                    line: *line,
+                    rule: "error-variant-consumption",
+                    message,
+                });
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
     fn run(rule: &str, src: &str) -> Vec<Finding> {
-        (rule_by_id(rule).expect("known rule").check)(&lex(src))
+        match rule_by_id(rule).expect("known rule").check {
+            Check::Tokens(check) => check(&lex(src)),
+            Check::Parsed => panic!("{rule} reads parsed files"),
+        }
     }
 
-    #[test]
-    fn hash_collections_hits_types_not_strings() {
-        assert_eq!(run("hash-collections", "let m = HashMap::new();").len(), 1);
-        assert!(run("hash-collections", "let s = \"HashMap\"; // HashMap").is_empty());
-        assert!(run("hash-collections", "let m = BTreeMap::new();").is_empty());
+    /// Parse-based findings of `rule` over in-memory `(path, source)` files.
+    fn findings_for(rule: &str, sources: &[(&str, &str)]) -> Vec<(String, u32, String)> {
+        let files: Vec<_> = sources
+            .iter()
+            .map(|(path, src)| crate::analyze_source(path, src))
+            .collect();
+        parsed_findings(&files)
+            .into_iter()
+            .filter(|f| f.rule == rule)
+            .map(|f| (sources[f.file].0.to_owned(), f.line, f.message))
+            .collect()
     }
 
     #[test]
@@ -445,14 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn narrowing_casts_flag_narrow_targets_only() {
-        assert_eq!(run("narrowing-cast", "x as u32").len(), 1);
-        assert_eq!(run("narrowing-cast", "x as usize").len(), 1);
-        assert!(run("narrowing-cast", "x as u64").is_empty());
-        assert!(run("narrowing-cast", "x as f64").is_empty());
-    }
-
-    #[test]
     fn unchecked_arith_distinguishes_binary_from_deref() {
         assert_eq!(run("unchecked-arith", "a + b").len(), 1);
         assert_eq!(run("unchecked-arith", "a += b;").len(), 1);
@@ -463,19 +457,93 @@ mod tests {
     }
 
     #[test]
-    fn float_accumulation_needs_map_iter_and_reduce() {
-        assert_eq!(
-            run("float-accumulation", "m.values().sum::<f64>()").len(),
-            1
-        );
-        assert_eq!(run("float-accumulation", "m.keys().fold(0.0, f)").len(), 1);
-        assert!(run("float-accumulation", "m.values().any(|x| x > 0)").is_empty());
-        assert!(run("float-accumulation", "values.iter().sum::<f64>()").is_empty());
-    }
-
-    #[test]
     fn version_table_scope_hits_ident() {
         assert_eq!(run("version-table-scope", "VersionTable::new()").len(), 1);
         assert!(run("version-table-scope", "table.version(t, 0)").is_empty());
+    }
+
+    #[test]
+    fn every_panic_site_is_flagged_reachable_or_not() {
+        // A private helper no public method calls, a free fn nothing calls
+        // and a `pub` method's own panic are all reported: the rule reads
+        // no call graph.
+        let found = findings_for(
+            "panic-path",
+            &[(
+                "crates/core/src/session.rs",
+                "pub struct Session;\nimpl Session {\n  fn private_helper(&self) { never_called(); }\n  pub fn attest(&self) { self.state.unwrap(); }\n}\nfn never_called() { panic!(\"x\"); }\nfn orphan(data: &[u8]) -> u8 { data[0] }\n",
+            )],
+        );
+        let lines: Vec<u32> = found.iter().map(|(_, line, _)| *line).collect();
+        assert_eq!(lines, vec![4, 6, 7], "{found:?}");
+        assert!(found[0].2.contains("unwrap"), "{}", found[0].2);
+        assert!(found[1].2.contains("panic!"), "{}", found[1].2);
+        assert!(found[2].2.contains("indexing"), "{}", found[2].2);
+    }
+
+    #[test]
+    fn constructed_but_unmatched_variant_is_flagged() {
+        let found = findings_for(
+            "error-variant-consumption",
+            &[
+                (
+                    "crates/core/src/version.rs",
+                    "pub enum VersionError {\n  Exhausted(u32),\n  Stale(u64),\n}\nimpl std::fmt::Display for VersionError {\n  fn fmt(&self, f: &mut F) -> R { match self { VersionError::Exhausted(t) => w(f), VersionError::Stale(s) => w(f) } }\n}\npub fn bump() -> Result<(), VersionError> { Err(VersionError::Exhausted(3)) }\npub fn stale() -> VersionError { VersionError::Stale(0) }\n",
+                ),
+                (
+                    "crates/sim/src/recover.rs",
+                    "pub fn recover(e: VersionError) {\n  if let VersionError::Stale(s) = e { retry(s); }\n}\n",
+                ),
+            ],
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        let (path, line, msg) = &found[0];
+        assert_eq!(path, "crates/core/src/version.rs");
+        assert_eq!(*line, 2);
+        assert!(
+            msg.contains("Exhausted") && msg.contains("never matched"),
+            "Display impl must not count as handling: {msg}"
+        );
+    }
+
+    #[test]
+    fn never_constructed_variant_is_flagged() {
+        let found = findings_for(
+            "error-variant-consumption",
+            &[(
+                "crates/core/src/run.rs",
+                "pub enum RunError { Finished, Poisoned }\npub fn f() -> RunError { RunError::Poisoned }\npub fn g(e: &RunError) -> bool { matches!(e, RunError::Poisoned | RunError::Finished) }\n",
+            )],
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].2.contains("Finished") && found[0].2.contains("never constructed"));
+    }
+
+    #[test]
+    fn fully_consumed_enums_are_quiet() {
+        let found = findings_for(
+            "error-variant-consumption",
+            &[(
+                "crates/core/src/run.rs",
+                "pub enum RunError { Finished, Poisoned }\npub fn f(stop: bool) -> RunError { if stop { RunError::Finished } else { RunError::Poisoned } }\npub fn g(e: &RunError) -> u32 { match e { RunError::Finished => 0, RunError::Poisoned => 1 } }\n",
+            )],
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn test_code_evidence_does_not_count() {
+        let found = findings_for(
+            "error-variant-consumption",
+            &[(
+                "crates/core/src/run.rs",
+                "pub enum RunError { Finished }\npub fn f() -> RunError { RunError::Finished }\n#[cfg(test)]\nmod tests {\n  fn t(e: RunError) { match e { RunError::Finished => {} } }\n}\n",
+            )],
+        );
+        assert_eq!(
+            found.len(),
+            1,
+            "cfg(test) match is not a consumer: {found:?}"
+        );
     }
 }

@@ -1,13 +1,13 @@
 //! SARIF 2.1.0 output for CI code-scanning upload.
 //!
 //! Hand-rolled JSON (the workspace is dependency-free by policy): one run,
-//! one tool driver whose `rules` array covers the full catalogue — lexical,
-//! semantic, and the `unused-allow` pseudo-rule — with each result carrying
+//! one tool driver whose `rules` array covers the full catalogue — every
+//! rule and the `unused-allow` pseudo-rule — with each result carrying
 //! a `ruleIndex` into it. Paths are emitted as workspace-relative URIs with
 //! `uriBaseId: "%SRCROOT%"`, which is what GitHub code scanning expects for
 //! a checkout-rooted run.
 
-use crate::rules::{RULES, SEM_RULES};
+use crate::rules::RULES;
 use crate::{Diagnostic, UNUSED_ALLOW_RULE};
 use std::fmt::Write as _;
 
@@ -34,9 +34,6 @@ fn esc(s: &str) -> String {
 fn catalogue() -> Vec<(&'static str, &'static str, &'static str)> {
     let mut out: Vec<(&'static str, &'static str, &'static str)> = Vec::new();
     for r in RULES {
-        out.push((r.id, r.family.label(), r.summary));
-    }
-    for r in SEM_RULES {
         out.push((r.id, r.family.label(), r.summary));
     }
     out.push((
@@ -111,10 +108,10 @@ mod tests {
                 message: "uses \"Instant::now\"\twhich drifts".to_owned(),
             },
             Diagnostic {
-                path: "src/lib.rs".to_owned(),
+                path: "crates/core/src/lib.rs".to_owned(),
                 line: 9,
-                rule: "engine-bypass",
-                message: "reaches raw DRAM".to_owned(),
+                rule: "panic-path",
+                message: "unwrap in the session core".to_owned(),
             },
         ]
     }
@@ -126,7 +123,7 @@ mod tests {
             "\"version\": \"2.1.0\"",
             "\"name\": \"tnpu-lint\"",
             "\"ruleId\": \"wallclock\"",
-            "\"ruleId\": \"engine-bypass\"",
+            "\"ruleId\": \"panic-path\"",
             "\"level\": \"error\"",
             "\"uri\": \"crates/sim/src/x.rs\"",
             "\"uriBaseId\": \"%SRCROOT%\"",

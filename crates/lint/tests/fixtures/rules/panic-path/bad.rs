@@ -1,20 +1,11 @@
-//! BAD: a panic two private calls behind the public `Session` API — the
-//! attest-panics-on-dead-context bug class. Neither helper is `pub`, so
-//! only reachability ties the `unwrap` back to the API surface.
+//! BAD: a panic in a private helper of the session core — the
+//! attest-panics-on-dead-context bug class. No public method has to reach
+//! it: every panic site in the rule's scope must become a typed error or
+//! carry a justification.
 
 pub struct Session;
 
-impl Session {
-    pub fn attest(&self) {
-        step_one();
-    }
-}
-
-fn step_one() {
-    step_two();
-}
-
-fn step_two() {
+fn step_two() -> u32 {
     let state: Option<u32> = None;
-    state.unwrap();
+    state.unwrap()
 }

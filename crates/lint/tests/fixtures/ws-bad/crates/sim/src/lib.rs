@@ -1,15 +1,12 @@
 //! Deliberately bad mini-workspace: the binary exit-code tests point
 //! `--root` here and expect `--deny-all` to fail.
 
-use std::collections::HashMap;
 use std::time::Instant;
+use tnpu_sim::rng::SplitMix64;
 
 pub fn simulate(events: &[u32]) -> u64 {
     let start = Instant::now();
-    let mut counts: HashMap<u32, u64> = HashMap::new();
-    for e in events {
-        *counts.entry(*e).or_insert(0) += 1;
-    }
+    let mut rng = SplitMix64::new(42);
     let _ = start.elapsed();
-    counts.len() as u64
+    rng.next_u64() ^ events.len() as u64
 }

@@ -1,14 +1,13 @@
 //! The linter's acceptance gates: the real workspace lints clean (including
-//! the semantic rules and with no stale allow comments), and the binary's
+//! the parse-based rules and with no stale allow comments), the binary's
 //! exit codes match its contract (`0` clean / advisory, `1` under
-//! `--deny-all` with violations, `2` tool errors).
+//! `--deny-all` with violations, `2` tool errors), and the root
+//! `clippy.toml` still bans what the retired rules used to catch.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use tnpu_lint::callgraph::API_TYPES;
 use tnpu_lint::lexer::{lex, TokKind};
-use tnpu_lint::rules::{RULES, SEM_RULES};
+use tnpu_lint::rules::RULES;
 use tnpu_lint::{lint_root, ROOTS};
 
 fn workspace_root() -> PathBuf {
@@ -43,48 +42,18 @@ fn the_workspace_lints_clean() {
     );
 }
 
-/// Struct names declared in the non-test code under `dir` (test, bench,
-/// example and fixture directories and `#[cfg(test)]` regions excluded).
-fn declared_structs(dir: &Path, out: &mut BTreeSet<String>) {
-    for entry in std::fs::read_dir(dir).expect("readable directory") {
-        let path = entry.expect("directory entry").path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if path.is_dir() {
-            if !matches!(
-                name,
-                "tests" | "benches" | "examples" | "fixtures" | "target"
-            ) {
-                declared_structs(&path, out);
-            }
-        } else if name.ends_with(".rs") {
-            let lexed = lex(&std::fs::read_to_string(&path).expect("readable source"));
-            for pair in lexed.tokens.windows(2) {
-                if pair[0].is_ident("struct")
-                    && pair[1].kind == TokKind::Ident
-                    && !lexed.in_test_region(pair[0].line)
-                {
-                    out.insert(pair[1].text.clone());
-                }
-            }
-        }
-    }
-}
-
 #[test]
 fn every_compiled_in_scope_path_exists() {
     // Scopes are literal path prefixes: one that names no path matches
     // nothing, so a typo would silently narrow an include or void an
     // exclude, and nothing else would report it.
     let root = workspace_root();
-    let scopes = RULES
-        .iter()
-        .map(|r| (r.id, r.include, r.exclude))
-        .chain(SEM_RULES.iter().map(|r| (r.id, r.include, r.exclude)));
-    for (id, include, exclude) in scopes {
-        for path in include.iter().chain(exclude) {
+    for rule in RULES {
+        for path in rule.include.iter().chain(rule.exclude) {
             assert!(
                 root.join(path).exists(),
-                "{id}: scope path `{path}` does not exist"
+                "{}: scope path `{path}` does not exist",
+                rule.id
             );
         }
     }
@@ -93,17 +62,88 @@ fn every_compiled_in_scope_path_exists() {
     }
 }
 
+/// The `pub fn` names of the non-test `impl RawDram` blocks in `src`.
+fn raw_dram_pub_fns(src: &str) -> Vec<String> {
+    let lexed = lex(src);
+    let toks = &lexed.tokens;
+    let mut names = Vec::new();
+    let mut i = 0;
+    while i + 2 < toks.len() {
+        let header = toks[i].is_ident("impl")
+            && toks[i + 1].is_ident("RawDram")
+            && toks[i + 2].is_punct("{");
+        if !header || lexed.in_test_region(toks[i].line) {
+            i += 1;
+            continue;
+        }
+        // Walk the impl body; its methods sit at brace depth 1.
+        let mut depth = 0;
+        i += 2;
+        while let Some(t) = toks.get(i) {
+            if t.is_punct("{") {
+                depth += 1;
+            } else if t.is_punct("}") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            } else if depth == 1
+                && t.is_ident("pub")
+                && toks.get(i + 1).is_some_and(|t| t.is_ident("fn"))
+            {
+                if let Some(name) = toks.get(i + 2).filter(|t| t.kind == TokKind::Ident) {
+                    names.push(name.text.clone());
+                }
+            }
+            i += 1;
+        }
+    }
+    names
+}
+
+/// The text of the `key = [ .. ]` array in a TOML file: from the key to
+/// the first line that is just `]`.
+fn toml_array<'a>(toml: &'a str, key: &str) -> &'a str {
+    let start = toml
+        .find(&format!("\n{key} = ["))
+        .unwrap_or_else(|| panic!("clippy.toml has no `{key}` array"));
+    let rest = &toml[start..];
+    &rest[..rest.find("\n]").expect("the array is closed")]
+}
+
 #[test]
-fn panic_path_roots_name_declared_structs() {
-    // A root that names no type audits nothing, and nothing else would
-    // report it.
+fn clippy_toml_bans_every_raw_dram_method_and_hash_collection() {
+    // The root clippy.toml replaced the `engine-bypass` and
+    // `hash-collections` rules. A `RawDram` method it does not name could
+    // be called from outside the functional memories unnoticed, so the
+    // list must follow `functional/dram.rs`. (`RawDram` implements no
+    // trait method clippy could not name by this path: it has no
+    // `Default` impl.)
     let root = workspace_root();
-    let mut declared = BTreeSet::new();
-    declared_structs(&root.join("crates"), &mut declared);
-    for ty in API_TYPES {
+    let dram = std::fs::read_to_string(root.join("crates/memprot/src/functional/dram.rs"))
+        .expect("readable source");
+    let toml = std::fs::read_to_string(root.join("clippy.toml")).expect("root clippy.toml");
+    // Clippy only warns about a listed path that names nothing, so the
+    // list must match the methods exactly.
+    let prefix = "\"tnpu_memprot::functional::dram::RawDram::";
+    let mut listed: Vec<&str> = toml_array(&toml, "disallowed-methods")
+        .split(prefix)
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').expect("quoted path")])
+        .collect();
+    listed.sort_unstable();
+    let mut pub_fns = raw_dram_pub_fns(&dram);
+    pub_fns.sort();
+    assert!(pub_fns.len() >= 5, "RawDram's methods: {pub_fns:?}");
+    assert_eq!(
+        listed, pub_fns,
+        "clippy.toml's disallowed-methods must name exactly the `pub fn`s of RawDram"
+    );
+    let types = toml_array(&toml, "disallowed-types");
+    for ty in ["std::collections::HashMap", "std::collections::HashSet"] {
         assert!(
-            declared.contains(*ty),
-            "panic-path root `{ty}` names no struct declared in non-test code"
+            types.contains(&format!("\"{ty}\"")),
+            "clippy.toml's disallowed-types must name {ty}"
         );
     }
 }
@@ -132,7 +172,7 @@ fn deny_all_exits_nonzero_on_the_bad_workspace() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "--deny-all must fail the build");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for expected in ["hash-collections", "wallclock"] {
+    for expected in ["rng-seed-literal", "wallclock"] {
         assert!(
             stdout.contains(expected),
             "diagnostics must include {expected}, got:\n{stdout}"
@@ -170,13 +210,6 @@ fn list_rules_names_every_rule() {
         assert!(
             stdout.contains(rule.id),
             "--list-rules must mention {}",
-            rule.id
-        );
-    }
-    for rule in SEM_RULES {
-        assert!(
-            stdout.contains(rule.id),
-            "--list-rules must mention semantic rule {}",
             rule.id
         );
     }

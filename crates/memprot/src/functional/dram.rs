@@ -34,19 +34,13 @@ pub struct RawDram {
     blocks: PagedStore<[u8; BLOCK_SIZE]>,
 }
 
-impl Default for RawDram {
-    fn default() -> Self {
-        RawDram {
-            blocks: PagedStore::new([0; BLOCK_SIZE]),
-        }
-    }
-}
-
 impl RawDram {
     /// Empty DRAM.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        RawDram {
+            blocks: PagedStore::new([0; BLOCK_SIZE]),
+        }
     }
 
     /// Store a block. `addr` must be block-aligned.
@@ -106,6 +100,7 @@ impl RawDram {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the store's own tests")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -23,6 +23,7 @@ pub struct EncryptOnlyMemory {
     master: Key128,
 }
 
+#[expect(clippy::disallowed_methods, reason = "the scheme owns its raw DRAM")]
 impl EncryptOnlyMemory {
     /// Create a memory with keys derived from `master`.
     #[must_use]
@@ -63,6 +64,7 @@ impl EncryptOnlyMemory {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the scheme owns its raw DRAM")]
 impl FunctionalMemory for EncryptOnlyMemory {
     fn scheme(&self) -> SchemeKind {
         SchemeKind::EncryptOnly

@@ -293,6 +293,10 @@ pub fn build_functional(
 
 /// Flip `bits` (bit positions in `0..512`) of a stored block, the shared
 /// implementation behind every scheme's [`FunctionalMemory::tamper_bits`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "an attack helper of every scheme"
+)]
 fn flip_bits(dram: &mut RawDram, addr: Addr, bits: &[u16]) -> bool {
     let Some(block) = dram.block_mut(addr) else {
         return false;
@@ -328,6 +332,10 @@ fn verifies_nearby(
 /// `(ct, tag)` pair is stored intact at a block other than `addr`, i.e.
 /// was relocated or spliced to it. A compare loop over the tag slots finds
 /// the candidates, and each one's ciphertext is checked.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "an attack helper of every scheme"
+)]
 fn stored_elsewhere(
     dram: &RawDram,
     macs: &PagedStore<MacTag>,

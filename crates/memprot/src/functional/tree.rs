@@ -158,6 +158,7 @@ impl TreeState {
 /// version's role in this scheme).
 const COUNTER_PROBE_WINDOW: u64 = 8;
 
+#[expect(clippy::disallowed_methods, reason = "the scheme owns its raw DRAM")]
 impl CounterTreeMemory {
     /// Create a protected memory covering `data_blocks` 64 B blocks.
     ///
@@ -374,6 +375,7 @@ impl CounterTreeMemory {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the scheme owns its raw DRAM")]
 impl FunctionalMemory for CounterTreeMemory {
     fn scheme(&self) -> SchemeKind {
         SchemeKind::TreeBased
@@ -863,6 +865,10 @@ mod lockstep {
 /// re-hashes the whole path to the root and every read re-hashes each node
 /// on it. It is the equivalence oracle for the lazy tree.
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the lockstep reference is a scheme of its own"
+)]
 mod reference {
     use super::super::{flip_bits, BlockCapture, FunctionalMemory, IntegrityError, MismatchCause};
     use crate::counters::{Bump, SplitCounterBlock};

@@ -46,6 +46,7 @@ pub struct TreelessMemory {
 /// indistinguishable from content tampering.
 const VERSION_PROBE_WINDOW: u64 = 8;
 
+#[expect(clippy::disallowed_methods, reason = "the scheme owns its raw DRAM")]
 impl TreelessMemory {
     /// Create a protected memory with keys derived from `master`.
     #[must_use]
@@ -132,6 +133,7 @@ impl TreelessMemory {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the scheme owns its raw DRAM")]
 impl FunctionalMemory for TreelessMemory {
     fn scheme(&self) -> SchemeKind {
         SchemeKind::Treeless

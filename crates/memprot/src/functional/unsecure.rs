@@ -10,19 +10,29 @@ use crate::SchemeKind;
 use tnpu_sim::{Addr, BLOCK_SIZE};
 
 /// Unprotected functional memory: stores plaintext as-is.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct UnsecureMemory {
     dram: RawDram,
 }
 
+#[expect(clippy::disallowed_methods, reason = "the scheme owns its raw DRAM")]
 impl UnsecureMemory {
     /// Empty memory.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        UnsecureMemory {
+            dram: RawDram::new(),
+        }
     }
 }
 
+impl Default for UnsecureMemory {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+#[expect(clippy::disallowed_methods, reason = "the scheme owns its raw DRAM")]
 impl FunctionalMemory for UnsecureMemory {
     fn scheme(&self) -> SchemeKind {
         SchemeKind::Unsecure

@@ -158,7 +158,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         // Shared weights may duplicate; after dedup, ids must be dense.
-        assert_eq!(ids.len() as u32, layout.tensor_count);
+        assert_eq!(u32::try_from(ids.len()), Ok(layout.tensor_count));
         assert_eq!(*ids.last().expect("non-empty") + 1, layout.tensor_count);
     }
 

@@ -41,12 +41,13 @@ impl BandwidthModel {
         Self::bytes_per_cycle(gbps_tenths * 10, ghz_hundredths)
     }
 
-    /// Cycles to transfer `bytes` at full bandwidth (rounded up).
+    /// Cycles to transfer `bytes` at full bandwidth (rounded up),
+    /// saturating at `u64::MAX` when the bandwidth is below 1 B/cycle.
     #[must_use]
     pub fn transfer_time(&self, bytes: u64) -> Cycles {
         // ceil(bytes * den / num)
-        let t = (bytes as u128 * self.den as u128).div_ceil(self.num as u128);
-        Cycles(t as u64)
+        let t = (u128::from(bytes) * u128::from(self.den)).div_ceil(u128::from(self.num));
+        Cycles(u64::try_from(t).unwrap_or(u64::MAX))
     }
 
     /// Bandwidth as a float, for reporting.
@@ -132,6 +133,15 @@ mod tests {
         assert_eq!(bw.transfer_time(1), Cycles(1));
         assert_eq!(bw.transfer_time(4), Cycles(1));
         assert_eq!(bw.transfer_time(5), Cycles(2));
+    }
+
+    #[test]
+    fn transfer_time_saturates_below_one_byte_per_cycle() {
+        // 2/3 B/cycle: u64::MAX bytes take 1.5x u64::MAX cycles, which
+        // used to wrap to 2^63 - 1.
+        let bw = BandwidthModel::bytes_per_cycle(2, 3);
+        assert_eq!(bw.transfer_time(u64::MAX), Cycles(u64::MAX));
+        assert_eq!(bw.transfer_time(2), Cycles(3));
     }
 
     #[test]

@@ -30,6 +30,15 @@
 //! assert!(outcome.is_hit());
 //! ```
 
+// Cycle and byte accounting must not change a value silently: every `as`
+// cast that can truncate, wrap or drop a sign fails `make clippy` (CI runs
+// clippy with `-D warnings`). Convert with `try_from` instead.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 pub mod cache;
 pub mod cycles;
 pub mod dram;

@@ -127,9 +127,10 @@ impl SplitMix64 {
         // -log2(r / 2^64) ≈ lz + (1 - mant/2^16), in Q16.
         let log2_q16 = (lz << 16) + ((1u64 << 16) - mant);
         const LN2_Q16: u64 = 45_426; // round(ln 2 * 2^16)
-                                     // mean * log2_q16 * ln2_q16 >> 32; intermediate fits u128.
-        ((u128::from(mean) * u128::from(log2_q16) * u128::from(LN2_Q16)) >> 32)
-            .min(u128::from(u64::MAX)) as u64
+
+        // mean * log2_q16 * ln2_q16 >> 32; the intermediate fits u128.
+        let t = (u128::from(mean) * u128::from(log2_q16) * u128::from(LN2_Q16)) >> 32;
+        u64::try_from(t).unwrap_or(u64::MAX)
     }
 }
 
@@ -259,7 +260,7 @@ mod tests {
         let mut r = SplitMix64::new(11);
         let mut seen = [false; 8];
         for _ in 0..1000 {
-            seen[r.next_below(8) as usize] = true;
+            seen[usize::try_from(r.next_below(8)).expect("below 8")] = true;
         }
         assert!(seen.iter().all(|&s| s), "all buckets should be hit");
     }
